@@ -52,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", metavar="FILE",
                        help="JSON problem file; explicit flags win")
         p.add_argument("--vars", help="comma-separated variable names")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker count (results are identical for any "
-                            "value)")
         p.add_argument("--strict", action="store_true",
                        help="exit 4 when an oracle verdict is Inconclusive")
         if ideal:
@@ -71,6 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if oracle_cfg:
             p.add_argument("--schedule",
                            help="comma-separated truncation boxes")
+            p.add_argument("--seed", type=int, default=0,
+                           help="Monte Carlo seed")
             p.add_argument("--points", type=int,
                            help="quadrature points per axis")
             p.add_argument("--samples", type=int, help="Monte Carlo samples")
@@ -159,14 +157,18 @@ def _axis_index(names: Sequence[str], axis: str) -> int:
 
 
 def _oracle_config(args) -> oracle.OracleConfig:
-    kwargs = {"seed": args.seed}
-    if getattr(args, "schedule", None):
-        kwargs["truncation_schedule"] = tuple(
-            float(x) for x in str(args.schedule).split(","))
-    if getattr(args, "points", None):
-        kwargs["quadrature_points_per_axis"] = int(args.points)
-    if getattr(args, "samples", None):
-        kwargs["mc_samples"] = int(args.samples)
+    kwargs = {}
+    try:
+        kwargs["seed"] = int(args.seed)
+        if args.schedule is not None:
+            kwargs["truncation_schedule"] = tuple(
+                float(x) for x in str(args.schedule).split(","))
+        if args.points is not None:
+            kwargs["quadrature_points_per_axis"] = int(args.points)
+        if args.samples is not None:
+            kwargs["mc_samples"] = int(args.samples)
+    except ValueError as exc:
+        raise InputError(f"bad oracle setting: {exc}")
     return oracle.OracleConfig(**kwargs)
 
 
@@ -334,6 +336,8 @@ def _cmd_oracle(args, stream) -> int:
         beta = _csv_rationals(_require(args, "beta"))
         if len(beta) != 1:
             raise InputError("the radial oracle is one-dimensional")
+        if beta[0] < 0 or beta[0].denominator != 1:
+            raise InputError("--beta must be a natural number")
         verdict = oracle.radial_power_integral(k, int(beta[0]), cfg)
         inputs.update({"k": _rat(k), "beta": [_rat(beta[0])]})
     else:

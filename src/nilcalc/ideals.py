@@ -4,7 +4,8 @@ Monomial ideals are stored as Dickson-minimal antichains of natural
 exponent vectors (empty antichain = zero ideal, the single zero vector
 = unit ideal).  Multiplier ideals, adjoint ideals, log canonical
 thresholds, jumping numbers and the adjunction report are all computed
-from exact LPs on the Newton polyhedron:
+exactly from critical scales, read off the facets of the Newton
+polyhedron and of its axis face:
 
 * z^beta lies in the multiplier ideal at scale c iff beta + (1,...,1)
   is interior to c*P,
@@ -12,9 +13,9 @@ from exact LPs on the Newton polyhedron:
   beta + (0,1,...,1) is interior to c*P or in the relative interior of
   the axis face of c*P.
 
-Generator enumerations run over a finite cap box; `box_audit` re-runs
-any enumeration with the caps pushed out and checks that the antichain
-is unchanged.
+Generator enumerations walk the staircase of the ideal inside a finite
+cap box; `box_audit` re-runs any enumeration with the caps pushed out
+and checks that the antichain is unchanged.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
 from .newton import (INTERIOR, NewtonPolyhedron, Vector,
-                     axis_complement_ones, build, critical_scale,
-                     dominates, in_relative_interior_of_axis_face,
-                     minimal_antichain, ones, vadd, vector)
+                     axis_complement_ones, axis_face, build,
+                     critical_scale, dominates, minimal_antichain, ones,
+                     vadd, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
                     classify_in_body)
 
@@ -96,14 +97,37 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 def _enumerate_minimal(dimension: int, caps: Sequence[int],
                        member) -> Tuple[Vector, ...]:
+    """The minimal members of the box prod [0, caps_i], for an upward
+    closed `member`, in descending lexicographic order.
+
+    Walks the staircase: for each prefix of the first n-1 coordinates,
+    in lexicographic order, the least member last coordinate is found
+    by stepping down from the least one of a predecessor prefix (which
+    is a member, by upward closure), or from the cap when no
+    predecessor has any.  The point is minimal iff it lies strictly
+    below every predecessor's.
+    """
+    *head, top = caps
+    least = {}
     found = []
-    for beta in itertools.product(*(range(c + 1) for c in caps)):
-        bv = tuple(Fraction(b) for b in beta)
-        if any(dominates(bv, g) for g in found):
-            continue
-        if member(bv):
-            found.append(bv)
-    return minimal_antichain(found)
+    for prefix in itertools.product(*(range(c + 1) for c in head)):
+        start = tuple(Fraction(b) for b in prefix)
+        predecessors = (prefix[:i] + (b - 1,) + prefix[i + 1:]
+                        for i, b in enumerate(prefix) if b)
+        above = min((least[p] for p in predecessors if p in least),
+                    default=None)
+        if above is None:
+            if not member(start + (Fraction(top),)):
+                continue
+            last = top
+        else:
+            last = above
+        while last > 0 and member(start + (Fraction(last - 1),)):
+            last -= 1
+        least[prefix] = last
+        if above is None or last < above:
+            found.append(start + (Fraction(last),))
+    return tuple(sorted(found, reverse=True))
 
 
 def _interior_member(P: NewtonPolyhedron, c: Fraction):
@@ -242,12 +266,17 @@ def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
 def _adjoint_member(P: NewtonPolyhedron, c: Fraction, axis: int):
     n = P.dimension
     shift = axis_complement_ones(n, axis)
+    face = axis_face(P, axis) if n > 1 else None
 
     def member(beta: Vector) -> bool:
         x = vadd(beta, shift)
         if x[axis] > 0:
             return critical_scale(P, x) > c
-        return in_relative_interior_of_axis_face(P, axis, x, c)
+        if face is None:
+            # in one variable the face, when present, is the point {0}
+            return n == 1 and any(g[0] == 0 for g in P.generators)
+        # x in c*ri(F) iff its projection (>= 1) is interior to c*F
+        return critical_scale(face, x[:axis] + x[axis + 1:]) > c
     return member
 
 

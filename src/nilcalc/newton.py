@@ -1,10 +1,12 @@
 """Newton polyhedra P = conv(points) + R_+^n with exact classification.
 
-The polyhedron is kept in V-representation only: a canonical antichain
-of generating points whose convex hull, fattened by the positive
-orthant, is the represented set.  Membership, interiority and critical
-scales are decided by exact LPs (see `lp`); no facet enumeration is
-ever performed.  The interior test runs the LP
+The polyhedron is given by a canonical antichain of generating points
+whose convex hull, fattened by the positive orthant, is the represented
+set.  Its facets (the H-representation) are enumerated once per object,
+on first use, by exact integer double description, and critical scales
+are read off them with one dot product per facet.  `classify`, which
+must produce a margin or a separating functional, runs the exact LP
+(see `lp`)
 
     max eps  s.t.  x - eps*1 >= c * sum_j t_j alpha_j,  sum t_j = 1,
                    t >= 0, eps >= 0
@@ -17,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import inf
+from functools import cached_property
+from math import gcd, inf, lcm
 from typing import Optional, Sequence, Tuple
 
-from .lp import (EQ, INFEASIBLE, LEQ, OPTIMAL, UNBOUNDED, ZERO, InputError,
+from .lp import (EQ, INFEASIBLE, LEQ, UNBOUNDED, ZERO, InputError,
                  LinearConstraintSystem, frac, fvec, maximize)
 
 INTERIOR = "interior"
@@ -64,6 +66,12 @@ def dominates(a: Vector, b: Vector) -> bool:
 class NewtonPolyhedron:
     dimension: int
     generators: Tuple[Vector, ...]
+
+    @cached_property
+    def facets(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+        """The inequalities <w, x> >= b of the facets that are not
+        coordinate hyperplanes, with w >= 0 and b > 0 coprime integers."""
+        return _facets(self.generators, self.dimension)
 
 
 @dataclass(frozen=True)
@@ -157,31 +165,67 @@ def classify(P: NewtonPolyhedron, x: Sequence, c) -> PointClassification:
                                witness=_normalize_witness(P, w, c))
 
 
-@lru_cache(maxsize=None)
-def _critical_scale_cached(P: NewtonPolyhedron, x: Vector):
-    gens = P.generators
-    r = len(gens)
-    cons = []
-    for i in range(P.dimension):
-        cons.append(([g[i] for g in gens], LEQ, x[i]))
-    sysm = LinearConstraintSystem.make(r, cons, range(r))
-    out = maximize([Fraction(1)] * r, sysm)
-    if out.status == UNBOUNDED:
-        return inf
-    assert out.status == OPTIMAL
-    return out.optimum
-
-
 def critical_scale(P: NewtonPolyhedron, x: Sequence):
     """Largest c with x in the closure of cP; x in c'P-interior iff c' < c.
 
     Requires x strictly positive (the interior equivalence fails on
-    coordinate hyperplanes).  Returns math.inf for the unit ideal.
+    coordinate hyperplanes).  This is min <w, x>/b over the facets;
+    math.inf for the unit ideal, which has none.
     """
     xv = vector(x, P.dimension)
     if any(v <= 0 for v in xv):
         raise InputError("critical_scale needs a strictly positive point")
-    return _critical_scale_cached(P, xv)
+    den = lcm(*(v.denominator for v in xv))
+    xs = [v.numerator * (den // v.denominator) for v in xv]
+    return min((Fraction(sum(a * b for a, b in zip(w, xs)), b * den)
+                for w, b in P.facets), default=inf)
+
+
+def _facets(generators: Sequence[Vector], n: int):
+    """Double description (Fukuda & Prodon 1996) of the cone of valid
+    inequalities {(w, t) : w >= 0, <w, g> + t >= 0 for every g} of the
+    generators scaled to integers; its extreme rays with t < 0 are the
+    facets <w, x> >= -t that are not coordinate hyperplanes.
+
+    Constraint i < n is w_i >= 0 and constraint n + j is generator j;
+    each ray carries the bit set of the constraints tight on it.
+    """
+    scale = lcm(*(v.denominator for g in generators for v in g))
+    rows = [[int(v * scale) for v in g] for g in generators]
+    # w >= 0 and the first generator cut out a simplicial cone whose
+    # rays are the columns of the inverse constraint matrix
+    axes = (1 << n) - 1  # the constraints w_i >= 0
+    rays = [(tuple(int(j == i) for j in range(n)) + (-rows[0][i],),
+             axes ^ (1 << i) | 1 << n) for i in range(n)]
+    rays.append(((0,) * n + (1,), axes))
+    for k, row in enumerate(rows[1:], start=n + 1):
+        values = [sum(a * b for a, b in zip(row, r)) + r[n] for r, _ in rays]
+        kept = [(r, z | (1 << k) if v == 0 else z)
+                for (r, z), v in zip(rays, values) if v >= 0]
+        for (p, zp), vp in zip(rays, values):
+            if vp <= 0:
+                continue
+            for (q, zq), vq in zip(rays, values):
+                if vq >= 0:
+                    continue
+                common = zp & zq
+                # adjacent iff no third ray is tight on all of `common`
+                if common.bit_count() < n - 1 or any(
+                        z & common == common for r, z in rays
+                        if r is not p and r is not q):
+                    continue
+                ray = [vp * b - vq * a for a, b in zip(p, q)]
+                g = gcd(*ray)
+                kept.append((tuple(v // g for v in ray), common | 1 << k))
+        rays = kept
+    facets = set()
+    for r, _ in rays:
+        if r[n] < 0:
+            # <w, scale*x> >= -t, i.e. <scale*w, x> >= -t
+            ints = [scale * v for v in r[:n]] + [-r[n]]
+            g = gcd(*ints)
+            facets.add((tuple(v // g for v in ints[:n]), ints[n] // g))
+    return tuple(sorted(facets))
 
 
 def axis_face(P: NewtonPolyhedron, axis: int) -> Optional[NewtonPolyhedron]:

@@ -21,6 +21,7 @@ Monte Carlo routine, whose streams are keyed by seed and shell).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -55,6 +56,8 @@ class OracleConfig:
         object.__setattr__(self, "truncation_schedule", sched)
         if len(sched) < 3:
             raise InputError("truncation schedule needs at least 3 boxes")
+        if not all(math.isfinite(t) for t in sched):
+            raise InputError("truncation schedule must be finite")
         if any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] <= 0:
             raise InputError("truncation schedule must be positive and "
                              "strictly increasing")

@@ -96,11 +96,14 @@ def _iroot(value: int, k: int) -> Optional[int]:
         return None
     if value in (0, 1) or k == 1:
         return value
-    r = int(round(value ** (1.0 / k)))
-    for cand in range(max(r - 2, 0), r + 3):
-        if cand ** k == value:
-            return cand
-    return None
+    # Newton's iteration from above 2^ceil(bits/k) > root descends to
+    # the floor of the root
+    r = 1 << -(-value.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + value // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == value else None
+        r = s
 
 
 def _rational_root(value: Fraction, k: int) -> Optional[Fraction]:

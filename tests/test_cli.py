@@ -137,3 +137,43 @@ def test_json_schema_on_oracle():
     assert doc["result"]["verdict"] == "Converges"
     assert doc["version"]
     assert doc["inputs"]["A"] == ["2", "1"]
+
+
+RADIAL = ("oracle", "--op", "radial", "--k", "5/2", "--beta")
+
+
+@pytest.mark.parametrize("schedule", ["nan,20,40", "10,20,inf",
+                                      "10,20,1e400"])
+def test_oracle_rejects_non_finite_schedule(schedule):
+    code, out, err = invoke(*RADIAL, "2", "--schedule", schedule,
+                            "--format", "json")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
+def test_radial_beta_must_be_natural():
+    code, out, err = invoke(*RADIAL, "5/2")
+    assert code == 2 and out == ""
+    assert "natural" in err
+
+
+@pytest.mark.parametrize("flag", ["--points", "--samples"])
+def test_oracle_zero_points_and_samples(flag):
+    code, out, _ = invoke(*RADIAL, "2", flag, "0")
+    assert code == 2 and out == ""
+
+
+def test_non_numeric_schedule_is_an_input_error():
+    code, out, err = invoke(*RADIAL, "2", "--schedule", "10,abc,40")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_threads_and_seed_flags():
+    code, _, _ = invoke("lct", "--ideal", "x^2, y^3", "--threads", "2")
+    assert code == 2
+    # exact commands never read a seed; the oracle does
+    code, _, _ = invoke("lct", "--ideal", "x^2, y^3", "--seed", "1")
+    assert code == 2
+    code, out, _ = invoke(*RADIAL, "2", "--seed", "7")
+    assert code == 0 and out.startswith("verdict: Converges")

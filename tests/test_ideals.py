@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 from math import inf
 
@@ -171,3 +172,15 @@ def test_zero_and_unit_are_first_class():
     assert zero.is_zero and not zero.is_unit
     assert unit.is_unit and not unit.is_zero
     assert multiplier_ideal(unit, 100).is_unit
+
+
+@pytest.mark.parametrize("n, d", [(4, 4), (3, 8)])
+def test_many_generators_stay_fast(n, d):
+    # m^d has C(n+d-1, d) generators but one facet; J(m^d) = m^(d-n+1)
+    I = monomial_power(n, d)
+    start = time.perf_counter()
+    assert lct(I) == F(n, d)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert multiplier_ideal(I, 1) == monomial_power(n, d - n + 1)
+    assert time.perf_counter() - start < 1

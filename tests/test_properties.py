@@ -6,11 +6,17 @@ instances while staying fast; every check is exact.
 
 import random
 from fractions import Fraction as F
+from math import inf
 
-from nilcalc.ideals import (adjoint_ideal, contains, minimalize,
-                            multiplier_ideal, shift_by_axis)
-from nilcalc.newton import build, classify, dominates
+from nilcalc.ideals import (_adjoint_member, adjoint_ideal, contains,
+                            jumping_numbers, minimalize, multiplier_ideal,
+                            shift_by_axis)
+from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR,
+                            axis_complement_ones, build, classify,
+                            critical_scale, dominates,
+                            in_relative_interior_of_axis_face, vadd)
 from nilcalc.parsing import format_ideal, parse_ideal
+from nilcalc.toric import pwl_min
 
 
 def random_ideal(rng, n=None, max_exp=4, max_gens=4):
@@ -95,3 +101,88 @@ def test_parse_print_round_trip():
         I = random_ideal(rng, n=n, max_exp=9, max_gens=6)
         names = names_pool[:n]
         assert parse_ideal(format_ideal(I, names), names)[0] == I
+
+
+def random_polyhedron(rng, kind):
+    n = rng.randint(1, 4)
+    if kind == "unit":
+        return build([(0,) * n])
+    if kind == "slopes":
+        # the body of a rational min(...) weight
+        g = pwl_min([(tuple(F(rng.randint(0, 6), rng.randint(1, 4))
+                            for _ in range(n)), 0)
+                     for _ in range(rng.randint(1, 4))])
+        return build([s for s, _ in g.pieces])
+    # monomial ideals, m-primary or not
+    return build(random_ideal(rng, n=n, max_exp=5, max_gens=5).generators)
+
+
+def test_critical_scale_agrees_with_lp():
+    rng = random.Random(106)
+    kinds = ["ideal"] * 6 + ["slopes"] * 3 + ["unit"]
+    for i in range(320):
+        P = random_polyhedron(rng, kinds[i % len(kinds)])
+        x = tuple(F(rng.randint(1, 9), rng.randint(1, 3))
+                  for _ in range(P.dimension))
+        cstar = critical_scale(P, x)
+        if cstar == inf:
+            assert P.generators == ((F(0),) * P.dimension,)
+            assert classify(P, x, 1000).verdict == INTERIOR
+            continue
+        assert classify(P, x, cstar).verdict == BOUNDARY
+        assert classify(P, x, cstar * F(99, 100)).verdict == INTERIOR
+        assert classify(P, x, cstar * F(101, 100)).verdict == EXTERIOR
+
+
+def test_adjoint_face_test_agrees_with_lp():
+    rng = random.Random(107)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        P = build(random_ideal(rng, n=n, max_exp=4, max_gens=5).generators)
+        axis = rng.randrange(n)
+        c = F(rng.randint(1, 8), rng.randint(1, 4))
+        member = _adjoint_member(P, c, axis)
+        shift = axis_complement_ones(n, axis)
+        for _ in range(3):
+            beta = tuple(F(0) if i == axis else F(rng.randint(0, 6))
+                         for i in range(n))
+            assert member(beta) == in_relative_interior_of_axis_face(
+                P, axis, vadd(beta, shift), c)
+
+
+def product(I, J):
+    return minimalize([tuple(a + b for a, b in zip(g, h))
+                       for g in I.generators for h in J.generators],
+                      I.dimension)
+
+
+def test_skoda():
+    # J(a^c) = a * J(a^(c-1)) for c >= n (Lazarsfeld, Positivity II, 9.6)
+    rng = random.Random(108)
+    for _ in range(40):
+        I = random_ideal(rng, max_exp=3, max_gens=3)
+        n = I.dimension
+        c = n + F(rng.randint(0, 5), 6)
+        # J(a^0) is the unit ideal
+        previous = multiplier_ideal(I, c - 1) if c > 1 else \
+            minimalize([(0,) * n], n)
+        assert multiplier_ideal(I, c) == product(I, previous)
+
+
+def test_jump_periodicity():
+    # for xi > n - 1, xi is a jumping number iff xi + 1 is (ELSV 2004)
+    rng = random.Random(109)
+    done = 0
+    while done < 40:
+        I = random_ideal(rng, max_exp=3, max_gens=3)
+        if I.is_unit:
+            continue
+        done += 1
+        n = I.dimension
+        c_max = n + 1
+        jumps = set(jumping_numbers(I, c_max))
+        for xi in jumps:
+            if n - 1 < xi <= c_max - 1:
+                assert xi + 1 in jumps
+            if xi - 1 > n - 1:
+                assert xi - 1 in jumps

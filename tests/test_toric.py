@@ -28,6 +28,17 @@ def test_evaluate():
     assert evaluate(G_23, (1, 1)) == 2
     assert evaluate(power_product(2, (F(1, 2), F(1, 2))), (4, 9)) == 12
     assert evaluate(pwl_min([((2, 0), 1), ((0, 3), 0)]), (0, 0)) == 0
+
+
+def test_evaluate_exact_roots_of_large_rationals():
+    root = power_product(1, (F(1, 2), F(1, 2)))
+    big = 2 ** 80 + 3
+    assert evaluate(root, (big ** 2, 1)) == big
+    assert evaluate(root, (10 ** 400, 1)) == 10 ** 200
+    assert evaluate(root, (F(big ** 2, 9), 4)) == F(2 * big, 3)
+    cube = power_product(1, (F(1, 3),))
+    assert evaluate(cube, (big ** 3,)) == big
+    assert evaluate(cube, (big ** 3 + 1,)) != big
     # irrational value comes back as a float close to the truth
     v = evaluate(power_product(1, (F(1, 2), F(1, 2))), (2, 1))
     assert isinstance(v, float) and abs(v - 2 ** 0.5) < 1e-12
