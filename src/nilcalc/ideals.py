@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf
+from math import ceil, inf, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
@@ -33,6 +33,10 @@ from .newton import (INTERIOR, NewtonPolyhedron, Vector,
                      vadd, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
                     classify_in_body)
+
+# most lattice points jumping_numbers scans; one critical scale costs
+# tens of microseconds, so a box this size takes tens of seconds
+JUMP_SCAN_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -230,6 +234,10 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
         raise InputError("the unit ideal has no jumping numbers")
     P = newton_polyhedron(ideal)
     caps = _multiplier_caps(P, c_max)
+    box = prod(c + 1 for c in caps)
+    if box > JUMP_SCAN_LIMIT:
+        raise InputError(f"the jump search box has {box} points, more than "
+                         f"{JUMP_SCAN_LIMIT}; lower c_max")
     jumps = set()
     for beta in itertools.product(*(range(c + 1) for c in caps)):
         x = vadd(tuple(Fraction(b) for b in beta), ones(ideal.dimension))

@@ -15,6 +15,14 @@ verdict is read off the increments between consecutive truncations:
   integrals, whose tails decay like 1/T rather than exponentially,
 * anything else is Inconclusive.
 
+The orthant and weighted integrals use the trapezoid rule on a tensor
+grid of quadrature_points_per_axis nodes per axis and shell box (graded
+towards 0 on axes starting there).  For a minimum of linear forms the
+integrand is the exponential of a minimum of affine pieces, so the same
+sum is taken in closed form along the last axis, piece by piece, from
+per-piece partial sums (`_envelope_box`); power products are summed
+over the grid itself (`_grid_box`), which is also the tests' reference.
+
 Estimates are deterministic functions of the config (including the
 Monte Carlo routine, whose streams are keyed by seed and shell).
 """
@@ -39,6 +47,7 @@ PLAIN = "plain"
 POINCARE_AXIS_1 = "poincare_axis_1"
 
 _GRID_CHUNK = 1 << 22  # max tensor-grid points evaluated at once
+_ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
 
 
 @dataclass(frozen=True)
@@ -172,10 +181,11 @@ def _g_values(g: ConcaveToricFunction, coords: Sequence[np.ndarray]):
     return float(g.scale) * out
 
 
-def _quadrature_box(g: ConcaveToricFunction, A: Tuple[float, ...],
-                    box: Sequence[Tuple[float, float]], m: int,
-                    weight_axis0: bool) -> float:
-    """Integral of e^{2(g - <A, x>)} (optionally / x_1^2) over the box."""
+def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
+              box: Sequence[Tuple[float, float]], m: int,
+              weight_axis0: bool) -> float:
+    """Integral of e^{2(g - <A, x>)} (optionally / x_1^2) over the box,
+    by the tensor trapezoid rule."""
     n = len(box)
     axes = []
     for i, (a, b) in enumerate(box):
@@ -207,6 +217,97 @@ def _quadrature_box(g: ConcaveToricFunction, A: Tuple[float, ...],
     return total
 
 
+def _envelope_box(g: PiecewiseLinearMin, A: Tuple[float, ...],
+                  box: Sequence[Tuple[float, float]], m: int,
+                  weight_axis0: bool) -> float:
+    """_grid_box for a minimum of affine pieces: the same nodes, weights
+    and clamp, summed in closed form along the last axis.
+
+    The exponent min(2(g - <A, x>), 700) is the minimum of the pieces
+    c_k + <a_k, x>, the clamp being the piece (a = 0, c = 700).  On each
+    row of the grid (a node of the other axes) the pieces are lines in
+    the last coordinate with the same slopes a_k, so every piece is
+    active on one run of consecutive nodes, and its share of the row is
+    e^{c_row,k} times a difference of partial sums of w_j e^{a_k x_j},
+    which do not depend on the row.
+    """
+    n = len(box)
+    axes = [_axis_grid(a, b, m, a == 0.0) for a, b in box]
+    if weight_axis0:
+        x0, w0 = axes[0]
+        axes[0] = (x0, w0 / np.square(x0))
+    slopes = np.array([[2.0 * (float(s) - Ai) for s, Ai in zip(slope, A)]
+                       for slope, _ in g.pieces] + [[0.0] * n])
+    consts = np.array([2.0 * float(off) for _, off in g.pieces] + [700.0])
+    # a piece that stays above another piece's maximum on the box is
+    # never the least one there (this drops the clamp on most boxes)
+    ends = slopes[:, :, None] * np.array(box)
+    least = consts + ends.min(axis=2).sum(axis=1)
+    most = consts + ends.max(axis=2).sum(axis=1)
+    keep = least <= most.min()
+    slopes, consts = slopes[keep], consts[keep]
+    # by decreasing last slope, the active piece never moves back along x
+    order = np.argsort(-slopes[:, -1], kind="stable")
+    slopes, consts = slopes[order], consts[order]
+    K = len(consts)
+    x, w = axes[-1]
+    a = slopes[:, -1]
+    # log sums of w_j e^{a_k x_j} over nodes j < i (head) and j >= i (tail)
+    terms = np.log(w) + np.multiply.outer(a, x)
+    head = np.full((K, m + 1), -np.inf)
+    tail = np.full((K, m + 1), -np.inf)
+    head[:, 1:] = np.logaddexp.accumulate(terms, axis=1)
+    tail[:, :-1] = np.logaddexp.accumulate(terms[:, ::-1], axis=1)[:, ::-1]
+    da = a[:, None] - a[None, :]
+    inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
+    pieces = np.arange(K)[:, None]
+    lead = axes[:-1]
+    rows = max(1, _ENVELOPE_CHUNK // (K * m ** max(n - 2, 0)))
+    total = 0.0
+    for start in range(0, m if lead else 1, rows):
+        # C[k, r]: c_k plus the other axes' terms at row r
+        C = consts[:, None]
+        W = np.ones(1)
+        for i, (xi, wi) in enumerate(lead):
+            if i == 0:
+                xi, wi = xi[start:start + rows], wi[start:start + rows]
+            C = (C[:, :, None] + np.multiply.outer(slopes[:, i], xi)[:, None]
+                 ).reshape(K, -1)
+            W = np.multiply.outer(W, wi).ravel()
+        # node x goes to a piece >= k iff x > tau_k = max_{i<k} min_{j>=k}
+        # of the point from which line j stays at or below line i
+        tau = np.full_like(C, -np.inf)
+        reach = np.full_like(C, np.inf)
+        for j in range(K - 1, 0, -1):
+            cross = (C[j] - C[:j]) * inv[:j, j, None]
+            ties = da[:j, j] == 0
+            if ties.any():
+                cross[ties] = np.where(C[j] <= C[:j][ties], -np.inf, np.inf)
+            np.minimum(reach[:j], cross, out=reach[:j])
+            tau[j] = reach[:j].max(axis=0)
+        lo = np.maximum.accumulate(np.searchsorted(x, tau, "right"), axis=0)
+        hi = np.concatenate([lo[1:], np.full((1, lo.shape[1]), m)])
+        # subtract the smaller of the two partial sums, so that the
+        # difference loses at most about log10(m) digits
+        hl, th = head[pieces, lo], tail[pieces, hi]
+        small = np.minimum(hl, th)
+        big = np.where(hl <= th, head[pieces, hi], tail[pieces, lo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            run = np.where(hi > lo, big + np.log(-np.expm1(small - big)),
+                           -np.inf)
+        total += float(W @ np.exp(C + run).sum(axis=0))
+    return total
+
+
+def _quadrature_box(g: ConcaveToricFunction, A: Tuple[float, ...],
+                    box: Sequence[Tuple[float, float]], m: int,
+                    weight_axis0: bool) -> float:
+    """Integral of e^{2(g - <A, x>)} (optionally / x_1^2) over the box."""
+    if isinstance(g, PiecewiseLinearMin):
+        return _envelope_box(g, A, box, m, weight_axis0)
+    return _grid_box(g, A, box, m, weight_axis0)
+
+
 def _validate_shift(g: ConcaveToricFunction, A: Sequence) -> Tuple[float, ...]:
     Av = fvec(A)
     if len(Av) != g.dimension:
@@ -216,22 +317,31 @@ def _validate_shift(g: ConcaveToricFunction, A: Sequence) -> Tuple[float, ...]:
     return tuple(float(a) for a in Av)
 
 
+def _shells(lows: Sequence[float], schedule: Sequence[float]
+            ) -> List[List[List[Tuple[float, float]]]]:
+    """The boxes of each shell between consecutive truncations."""
+    return [_shell_boxes(lows, prev, t)
+            for prev, t in zip((None,) + tuple(schedule), schedule)]
+
+
+def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
+                        lows: Sequence[float], cfg: OracleConfig,
+                        weight_axis0: bool) -> ConvergenceVerdict:
+    """Verdict read off the quadrature of each shell of the schedule."""
+    m = cfg.quadrature_points_per_axis
+    increments = [sum(_quadrature_box(g, A, box, m, weight_axis0)
+                      for box in boxes)
+                  for boxes in _shells(lows, cfg.truncation_schedule)]
+    return _judge(cfg.truncation_schedule, increments, cfg)
+
+
 def orthant_exp_integral(g: ConcaveToricFunction, A: Sequence,
                          cfg: OracleConfig = OracleConfig()
                          ) -> ConvergenceVerdict:
     """Verdict for the integral of e^{2(g(x) - <A, x>)} over the orthant."""
     Af = _validate_shift(g, A)
-    n = g.dimension
-    lows = [0.0] * n
-    increments = []
-    prev = None
-    for t in cfg.truncation_schedule:
-        inc = sum(_quadrature_box(g, Af, box, cfg.quadrature_points_per_axis,
-                                  weight_axis0=False)
-                  for box in _shell_boxes(lows, prev, t))
-        increments.append(inc)
-        prev = t
-    return _judge(cfg.truncation_schedule, increments, cfg)
+    return _quadrature_verdict(g, Af, [0.0] * g.dimension, cfg,
+                               weight_axis0=False)
 
 
 def adjoint_weighted_integral(g: ConcaveToricFunction, A: Sequence, eps,
@@ -243,19 +353,11 @@ def adjoint_weighted_integral(g: ConcaveToricFunction, A: Sequence, eps,
     ef = frac(eps)
     if ef < 0:
         raise InputError("eps must be >= 0")
-    scaled = _scale_function(g, 1 + ef)
-    n = g.dimension
-    lows = [1.0] + [0.0] * (n - 1)
-    increments = []
-    prev = None
-    for t in cfg.truncation_schedule:
-        inc = sum(_quadrature_box(scaled, Af, box,
-                                  cfg.quadrature_points_per_axis,
-                                  weight_axis0=True)
-                  for box in _shell_boxes(lows, prev, t))
-        increments.append(inc)
-        prev = t
-    return _judge(cfg.truncation_schedule, increments, cfg)
+    if cfg.truncation_schedule[0] <= 1.0:
+        raise InputError("truncation schedule must exceed 1")
+    lows = [1.0] + [0.0] * (g.dimension - 1)
+    return _quadrature_verdict(_scale_function(g, 1 + ef), Af, lows, cfg,
+                               weight_axis0=True)
 
 
 def _scale_function(g: ConcaveToricFunction,
@@ -288,16 +390,10 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
         raise InputError("beta must be a natural exponent vector")
     if weight not in (PLAIN, POINCARE_AXIS_1):
         raise InputError(f"unknown weight {weight!r}")
-    n = g.dimension
     lo = float(np.log(2.0))
-    lows = [lo] * n
-    shells = []
-    prev = None
-    for t in cfg.truncation_schedule:
-        if t <= lo:
-            raise InputError("truncation schedule must exceed log 2")
-        shells.append(_shell_boxes(lows, prev, t))
-        prev = t
+    if cfg.truncation_schedule[0] <= lo:
+        raise InputError("truncation schedule must exceed log 2")
+    shells = _shells([lo] * g.dimension, cfg.truncation_schedule)
     samples_per_box = max(1, cfg.mc_samples // sum(map(len, shells)))
     coeff = tuple(2.0 * float(b) + 2.0 for b in bv)
     increments = []

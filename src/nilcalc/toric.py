@@ -19,14 +19,18 @@ exact certificate for non-members.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import exp, lcm, log
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .lp import ZERO, InputError, frac, fvec
 from .newton import (BOUNDARY, EXTERIOR, INTERIOR, PointClassification,
                      Vector, build, classify, dot, vector)
+
+_LOG_FLOAT_MIN = log(sys.float_info.min)  # least positive normal float
+_LOG_FLOAT_MAX = log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -146,11 +150,11 @@ def evaluate(g: ConcaveToricFunction, x: Sequence):
     exact = _rational_root(vq, q)
     if exact is not None:
         return exact
-    prod = float(g.scale)
-    for xi, a in zip(xv, g.exponents):
-        if a:
-            prod *= float(xi) ** float(a)
-    return prod
+    # vq > 0 may not fit a float: take the q-th root in log space
+    log_value = (log(vq.numerator) - log(vq.denominator)) / q
+    if not _LOG_FLOAT_MIN <= log_value <= _LOG_FLOAT_MAX:
+        raise InputError(f"g(x) = e^{log_value:.6g} is beyond float range")
+    return exp(log_value)
 
 
 def homogenized_value(g: ConcaveToricFunction, w: Sequence):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -54,6 +55,13 @@ def test_jump_and_openness():
     assert code == 0 and out == "5/6, 7/6\n"
     code, out, _ = invoke("openness", "--ideal", "x^2, y^3", "--c", "1")
     assert code == 0 and out == "1/12\n"
+
+
+def test_jump_search_box_is_bounded():
+    start = time.perf_counter()
+    code, _, err = invoke("jump", "--ideal", "x^2, y^3", "--cmax", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "jump search box has" in err
 
 
 def test_mult_toric():

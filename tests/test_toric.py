@@ -44,6 +44,16 @@ def test_evaluate_exact_roots_of_large_rationals():
     assert isinstance(v, float) and abs(v - 2 ** 0.5) < 1e-12
 
 
+def test_evaluate_float_fallback_beyond_float_range():
+    root = power_product(1, (F(1, 2), F(1, 2)))
+    # 10^401 has no exact square root and is too large for a float
+    v = evaluate(root, (10 ** 401, 1))
+    assert isinstance(v, float) and abs(v / 10 ** 200.5 - 1) < 1e-12
+    for x in [(10 ** 617, 1), (F(1, 10 ** 617), 1)]:
+        with pytest.raises(InputError):
+            evaluate(root, x)
+
+
 def test_homogenized_value():
     g = pwl_min([((2, 0), 5), ((0, 3), -1)])
     assert homogenized_value(g, (1, 1)) == 2
