@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -52,8 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", metavar="FILE",
                        help="JSON problem file; explicit flags win")
         p.add_argument("--vars", help="comma-separated variable names")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 4 when an oracle verdict is Inconclusive")
         if ideal:
             p.add_argument("--ideal", help='e.g. "x^2, y^3"; 1 = unit, '
                                            "0 = zero ideal")
@@ -67,11 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if oracle_cfg:
             p.add_argument("--schedule",
                            help="comma-separated truncation boxes")
-            p.add_argument("--seed", type=int, default=0,
-                           help="Monte Carlo seed")
-            p.add_argument("--points", type=int,
-                           help="quadrature points per axis")
-            p.add_argument("--samples", type=int, help="Monte Carlo samples")
+            # parsed by _oracle_config, as are the same problem-file fields
+            p.add_argument("--seed", default=0, help="Monte Carlo seed")
+            p.add_argument("--points", help="quadrature points per axis")
+            p.add_argument("--samples", help="Monte Carlo samples")
+            p.add_argument("--strict", action="store_true",
+                           help="exit 4 when the verdict is Inconclusive")
         return p
 
     common(sub.add_parser("mult", help="multiplier ideal"),
@@ -184,7 +185,8 @@ def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
                     "result": payload["result"],
                     "certificates": payload.get("certificates", {}),
                     "version": __version__}
-        print(json.dumps(document, indent=2, sort_keys=True), file=stream)
+        print(json.dumps(document, indent=2, sort_keys=True,
+                         allow_nan=False), file=stream)
     else:
         for line in text_lines:
             print(line, file=stream)
@@ -360,13 +362,16 @@ def _cmd_oracle(args, stream) -> int:
             inputs.update({"beta": [_rat(b) for b in beta],
                            "weight": args.weight})
     partials = [f"T={t:g}: {v:.6g}" for t, v in verdict.partial_values]
+
+    def finite(v):  # strict JSON has no inf or NaN; null stands for them
+        return v if math.isfinite(v) else None
     _emit(args, stream,
           {"inputs": inputs,
            "result": {"verdict": verdict.verdict,
-                      "partial_values": [[t, v] for t, v
+                      "partial_values": [[t, finite(v)] for t, v
                                          in verdict.partial_values]},
-           "certificates": {"ratios": list(
-               verdict.evidence.get("ratios", ())),
+           "certificates": {"ratios": [
+               finite(r) for r in verdict.evidence.get("ratios", ())],
                "rule": verdict.evidence.get("rule")}},
           [f"{_styled('verdict:', stream)} {verdict.verdict}"] + partials)
     if args.strict and verdict.verdict == oracle.INCONCLUSIVE:
@@ -392,10 +397,11 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        # argparse prints usage errors, --help and --version itself
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            args = parser.parse_args(list(argv))
     except SystemExit as exc:
-        code = exc.code or 0
-        return 2 if code not in (0,) else 0
+        return 2 if exc.code else 0
     try:
         _merge_input_file(args)
         return _DISPATCH[args.command](args, stdout)

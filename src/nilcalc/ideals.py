@@ -4,18 +4,19 @@ Monomial ideals are stored as Dickson-minimal antichains of natural
 exponent vectors (empty antichain = zero ideal, the single zero vector
 = unit ideal).  Multiplier ideals, adjoint ideals, log canonical
 thresholds, jumping numbers and the adjunction report are all computed
-exactly from critical scales, read off the facets of the Newton
-polyhedron and of its axis face:
+exactly from the facets <w, x> >= b of the Newton polyhedron P:
 
 * z^beta lies in the multiplier ideal at scale c iff beta + (1,...,1)
-  is interior to c*P,
-* z^beta lies in the adjoint ideal along the axis hyperplane iff
-  beta + (0,1,...,1) is interior to c*P or in the relative interior of
-  the axis face of c*P.
+  is interior to c*P: min <w, beta + 1>/b > c over the facets,
+* z^beta lies in the adjoint ideal along the axis hyperplane H iff
+  x = beta + (0,1,...,1) is interior to c*P or in the relative interior
+  of c*F, F the face of P on H: again min <w, x>/b > c, since the facets
+  of F other than coordinate ones are traces on H of facets of P, all
+  of which hold on F (when F is empty, x_axis >= min g_axis gives 0).
 
-Generator enumerations walk the staircase of the ideal inside a finite
-cap box; `box_audit` re-runs any enumeration with the caps pushed out
-and checks that the antichain is unchanged.
+Generator enumerations walk the staircase of the ideal inside the box
+0 <= beta_i <= ceil(c * max g_i); `box_audit` re-runs any enumeration
+with the caps pushed out and checks that the antichain is unchanged.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from math import ceil, inf, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
-from .newton import (INTERIOR, NewtonPolyhedron, Vector,
-                     axis_complement_ones, axis_face, build,
-                     critical_scale, dominates, minimal_antichain, ones,
-                     vadd, vector)
+from .newton import (INTERIOR, NewtonPolyhedron, Vector, _facet_minimum,
+                     axis_complement_ones, build, critical_scale, dominates,
+                     minimal_antichain, ones, vadd, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
                     classify_in_body)
 
@@ -134,16 +134,24 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     return tuple(sorted(found, reverse=True))
 
 
-def _interior_member(P: NewtonPolyhedron, c: Fraction):
+def _facet_member(P: NewtonPolyhedron, c: Fraction, shift: Vector):
+    """z^beta is a member iff min <w, beta + shift>/b > c (shift >= 0)."""
     def member(beta: Vector) -> bool:
-        x = vadd(beta, ones(P.dimension))
-        return critical_scale(P, x) > c
+        return _facet_minimum(P, vadd(beta, shift)) > c
     return member
 
 
-def _multiplier_caps(P: NewtonPolyhedron, c: Fraction) -> List[int]:
+def _caps(P: NewtonPolyhedron, c: Fraction) -> List[int]:
     return [ceil(c * max(g[i] for g in P.generators))
             for i in range(P.dimension)]
+
+
+def _facet_ideal(P: NewtonPolyhedron, c: Fraction, shift: Vector,
+                 cap_bump: int = 0) -> MonomialIdeal:
+    """The ideal of `_facet_member`, enumerated in the box of `_caps`."""
+    caps = [b + cap_bump for b in _caps(P, c)]
+    gens = _enumerate_minimal(P.dimension, caps, _facet_member(P, c, shift))
+    return MonomialIdeal(P.dimension, gens)
 
 
 def multiplier_ideal(ideal: MonomialIdeal, c,
@@ -154,15 +162,12 @@ def multiplier_ideal(ideal: MonomialIdeal, c,
         raise InputError("scale c must be positive")
     if ideal.is_zero:
         raise InputError("the zero ideal has no multiplier ideal")
-    P = newton_polyhedron(ideal)
-    caps = [b + cap_bump for b in _multiplier_caps(P, c)]
-    gens = _enumerate_minimal(ideal.dimension, caps, _interior_member(P, c))
-    return MonomialIdeal(ideal.dimension, gens)
+    return _facet_ideal(newton_polyhedron(ideal), c, ones(ideal.dimension),
+                        cap_bump)
 
 
-def _axis_power_cap(dimension: int, axis_index: int, member,
-                    limit: int = 1 << 20) -> Optional[int]:
-    """min{b : b*e_axis is a member}, or None if none exists up to limit.
+def _axis_power_cap(dimension: int, axis_index: int, member) -> int:
+    """min{b : b*e_axis is a member}; an InputError if it exceeds 2^20.
 
     Membership is upward closed (ideals are stable under multiplication
     by coordinates), so the minimum is found by doubling and bisection.
@@ -173,8 +178,9 @@ def _axis_power_cap(dimension: int, axis_index: int, member,
 
     if at(0):
         return 0
-    if not at(limit):
-        return None
+    if not at(1 << 20):
+        raise InputError("generator enumeration box is too large "
+                         "for these exponents")
     hi = 1
     while not at(hi):
         hi *= 2
@@ -188,15 +194,12 @@ def _axis_power_cap(dimension: int, axis_index: int, member,
     return hi
 
 
-def multiplier_ideal_toric(g: ConcaveToricFunction,
-                           cap_bump: int = 0) -> MonomialIdeal:
+def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     """Multiplier ideal of the toric weight attached to g."""
     n = g.dimension
     if isinstance(g, PiecewiseLinearMin):
-        P = build([s for s, _ in g.pieces])
-        caps = [b + cap_bump for b in _multiplier_caps(P, Fraction(1))]
-        gens = _enumerate_minimal(n, caps, _interior_member(P, Fraction(1)))
-        return MonomialIdeal(n, gens)
+        return _facet_ideal(build([s for s, _ in g.pieces]), Fraction(1),
+                            ones(n))
     assert isinstance(g, PowerProduct)
     if sum(g.exponents, ZERO) < 1:
         return MonomialIdeal(n, (tuple(ZERO for _ in range(n)),))
@@ -205,15 +208,9 @@ def multiplier_ideal_toric(g: ConcaveToricFunction,
         lam = vadd(beta, ones(n))
         return classify_in_body(g, lam).verdict == INTERIOR
 
-    caps = []
-    for i, a in enumerate(g.exponents):
-        cap = _axis_power_cap(n, i, member) if a > 0 else 0
-        if cap is None:
-            raise InputError("generator enumeration box is too large "
-                             "for these exponents")
-        caps.append(cap + cap_bump)
-    gens = _enumerate_minimal(n, caps, member)
-    return MonomialIdeal(n, gens)
+    caps = [_axis_power_cap(n, i, member) if a > 0 else 0
+            for i, a in enumerate(g.exponents)]
+    return MonomialIdeal(n, _enumerate_minimal(n, caps, member))
 
 
 def lct(ideal: MonomialIdeal):
@@ -233,7 +230,7 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
     if ideal.is_unit:
         raise InputError("the unit ideal has no jumping numbers")
     P = newton_polyhedron(ideal)
-    caps = _multiplier_caps(P, c_max)
+    caps = _caps(P, c_max)
     box = prod(c + 1 for c in caps)
     if box > JUMP_SCAN_LIMIT:
         raise InputError(f"the jump search box has {box} points, more than "
@@ -271,23 +268,6 @@ def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
     return eps
 
 
-def _adjoint_member(P: NewtonPolyhedron, c: Fraction, axis: int):
-    n = P.dimension
-    shift = axis_complement_ones(n, axis)
-    face = axis_face(P, axis) if n > 1 else None
-
-    def member(beta: Vector) -> bool:
-        x = vadd(beta, shift)
-        if x[axis] > 0:
-            return critical_scale(P, x) > c
-        if face is None:
-            # in one variable the face, when present, is the point {0}
-            return n == 1 and any(g[0] == 0 for g in P.generators)
-        # x in c*ri(F) iff its projection (>= 1) is interior to c*F
-        return critical_scale(face, x[:axis] + x[axis + 1:]) > c
-    return member
-
-
 def adjoint_ideal(ideal: MonomialIdeal, c, axis: int,
                   cap_bump: int = 0) -> MonomialIdeal:
     """Adjoint ideal of ideal^c along the hyperplane {z_axis = 0}.
@@ -306,15 +286,15 @@ def adjoint_ideal(ideal: MonomialIdeal, c, axis: int,
         raise HypothesisError(
             "the ideal is contained in the axis hyperplane ideal; "
             "the restricted weight is identically -infinity")
-    P = newton_polyhedron(ideal)
-    member = _adjoint_member(P, c, axis)
-    caps = []
-    for i, base in enumerate(_multiplier_caps(P, c)):
-        pure = _axis_power_cap(ideal.dimension, i, member,
-                               limit=4 * base + 16)
-        caps.append(max(base, pure if pure is not None else 0) + cap_bump)
-    gens = _enumerate_minimal(ideal.dimension, caps, member)
-    return MonomialIdeal(ideal.dimension, gens)
+    # The multiplier's caps suffice: a member stays one when a coordinate
+    # is lowered to a value still >= c * max g_i, by the multiplier's
+    # argument, except that on the axis (> 0 there unless P = F x R_+)
+    # the lowered point may lie on the boundary of c*P; moving a little
+    # weight onto a generator with g_axis = 0, as the hypothesis above
+    # provides, puts it back inside.
+    return _facet_ideal(newton_polyhedron(ideal), c,
+                        axis_complement_ones(ideal.dimension, axis),
+                        cap_bump)
 
 
 def adj0_power_membership(k, alpha: Sequence, beta: Sequence) -> bool:

@@ -169,14 +169,21 @@ def critical_scale(P: NewtonPolyhedron, x: Sequence):
     """Largest c with x in the closure of cP; x in c'P-interior iff c' < c.
 
     Requires x strictly positive (the interior equivalence fails on
-    coordinate hyperplanes).  This is min <w, x>/b over the facets;
-    math.inf for the unit ideal, which has none.
+    coordinate hyperplanes, where membership tests call `_facet_minimum`
+    directly).  This is min <w, x>/b over the facets; math.inf for the
+    unit ideal, which has none.
     """
     xv = vector(x, P.dimension)
     if any(v <= 0 for v in xv):
         raise InputError("critical_scale needs a strictly positive point")
-    den = lcm(*(v.denominator for v in xv))
-    xs = [v.numerator * (den // v.denominator) for v in xv]
+    return _facet_minimum(P, xv)
+
+
+def _facet_minimum(P: NewtonPolyhedron, x: Vector):
+    """min <w, x>/b over the facets, for an unchecked x >= 0 (on a
+    coordinate hyperplane, see the adjoint criterion in `ideals`)."""
+    den = lcm(*(v.denominator for v in x))
+    xs = [v.numerator * (den // v.denominator) for v in x]
     return min((Fraction(sum(a * b for a, b in zip(w, xs)), b * den)
                 for w, b in P.facets), default=inf)
 

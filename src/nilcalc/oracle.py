@@ -329,9 +329,11 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
                         weight_axis0: bool) -> ConvergenceVerdict:
     """Verdict read off the quadrature of each shell of the schedule."""
     m = cfg.quadrature_points_per_axis
-    increments = [sum(_quadrature_box(g, A, box, m, weight_axis0)
-                      for box in boxes)
-                  for boxes in _shells(lows, cfg.truncation_schedule)]
+    # a shell beyond float range adds inf, which reads as growth
+    with np.errstate(over="ignore"):
+        increments = [sum(_quadrature_box(g, A, box, m, weight_axis0)
+                          for box in boxes)
+                      for boxes in _shells(lows, cfg.truncation_schedule)]
     return _judge(cfg.truncation_schedule, increments, cfg)
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+import warnings
 
 import pytest
 
@@ -91,6 +92,45 @@ def test_oracle_strict_exit_code():
     code, out, _ = invoke("oracle", "--op", "radial", "--k", "5/2",
                           "--beta", "2")
     assert code == 0 and out.startswith("verdict: Converges")
+    code, out, _ = invoke("oracle", "--op", "radial", "--k", "1/2",
+                          "--beta", "0", "--schedule", "1,2,3", "--strict")
+    assert code == 4 and out.startswith("verdict: Inconclusive")
+    # exact commands have no verdict to be strict about
+    code, _, err = invoke("lct", "--ideal", "x^2, y^3", "--strict")
+    assert code == 2 and "--strict" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "--op", "radial", "--k", "5/2", "--beta", "2",
+     "--points", "abc"),
+    ("lct", "--ideal", "x^2, y^3", "--no-such-flag"),
+])
+def test_usage_errors_go_to_the_stderr_stream(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert ("abc" if "abc" in argv else "--no-such-flag") in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_oracle_overflow_is_strict_json(capsys):
+    argv = ("oracle", "--op", "orthant", "--toric", "min(10*x, 10*y, 10*z)",
+            "--shift", "1,1,1", "--points", "32")
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON number {constant}")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(*argv, "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["result"]["verdict"] == "Diverges"
+        assert doc["result"]["partial_values"][-1] == [80.0, None]
+        assert doc["certificates"]["ratios"][-1] is None
+        code, out, err = invoke(*argv)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "T=80: inf"
+    assert capsys.readouterr() == ("", "")
 
 
 def test_parse_error_exit_code():

@@ -8,9 +8,9 @@ import random
 from fractions import Fraction as F
 from math import inf
 
-from nilcalc.ideals import (_adjoint_member, adjoint_ideal, contains,
-                            jumping_numbers, minimalize, multiplier_ideal,
-                            shift_by_axis)
+from nilcalc.ideals import (_facet_member, adjoint_ideal, box_audit,
+                            contains, jumping_numbers, minimalize,
+                            multiplier_ideal, shift_by_axis)
 from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR,
                             axis_complement_ones, build, classify,
                             critical_scale, dominates,
@@ -141,13 +141,35 @@ def test_adjoint_face_test_agrees_with_lp():
         P = build(random_ideal(rng, n=n, max_exp=4, max_gens=5).generators)
         axis = rng.randrange(n)
         c = F(rng.randint(1, 8), rng.randint(1, 4))
-        member = _adjoint_member(P, c, axis)
         shift = axis_complement_ones(n, axis)
+        member = _facet_member(P, c, shift)
         for _ in range(3):
             beta = tuple(F(0) if i == axis else F(rng.randint(0, 6))
                          for i in range(n))
             assert member(beta) == in_relative_interior_of_axis_face(
                 P, axis, vadd(beta, shift), c)
+
+
+def test_adjoint_caps_pass_box_audit():
+    # the adjoint enumerates in the multiplier's box ceil(c * max g_i);
+    # every third scale puts c * max g_axis on an integer, where the cap
+    # is reached by a member on the boundary of c*P
+    rng = random.Random(110)
+    for i in range(150):
+        n = rng.randint(1, 4)
+        e = 4 if n < 3 else 2
+        gens = [tuple(rng.randint(0, e) for _ in range(n))
+                for _ in range(rng.randint(1, 4))]
+        axis = rng.randrange(n)
+        gens.append(tuple(0 if j == axis else rng.randint(1, e)
+                          for j in range(n)))
+        I = minimalize(gens, n)
+        top = int(max(g[axis] for g in I.generators))
+        if i % 3 == 0 and top:
+            c = F(rng.randint(1, 3 * top), top)
+        else:
+            c = F(rng.randint(1, 8), rng.randint(2, 5))
+        assert box_audit(I, c, axis, bump=3), (gens, c, axis)
 
 
 def product(I, J):
