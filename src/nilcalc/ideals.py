@@ -14,9 +14,16 @@ exactly from the facets <w, x> >= b of the Newton polyhedron P:
   of F other than coordinate ones are traces on H of facets of P, all
   of which hold on F (when F is empty, x_axis >= min g_axis gives 0).
 
+With c = p/q in lowest terms and the shift s = x - beta, both tests are
+q*<w, beta> > p*b - q*<w, s> for every facet: integer dot products
+against integer thresholds, computed once per enumeration.  Jumping
+numbers are the least ratios <w, beta + 1>/b, compared by
+cross-multiplication.
+
 Generator enumerations walk the staircase of the ideal inside the box
-0 <= beta_i <= ceil(c * max g_i); `box_audit` re-runs any enumeration
-with the caps pushed out and checks that the antichain is unchanged.
+0 <= beta_i <= ceil(c * max g_i) on integer exponent vectors;
+`box_audit` re-runs any enumeration with the caps pushed out and checks
+that the antichain is unchanged.
 """
 
 from __future__ import annotations
@@ -24,19 +31,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf, prod
+from math import ceil, floor, inf, prod
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
-from .newton import (INTERIOR, NewtonPolyhedron, Vector, _facet_minimum,
+from .newton import (NewtonPolyhedron, Vector, _least_facet_ratio,
                      axis_complement_ones, build, critical_scale, dominates,
-                     minimal_antichain, ones, vadd, vector)
+                     dot, minimal_antichain, ones, vadd, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
-                    classify_in_body)
+                    _power_ratio_sign)
+# not called here; perfbench's tracer resolves this binding in `ideals`
+from .toric import classify_in_body  # noqa: F401
 
-# most lattice points jumping_numbers scans; one critical scale costs
-# tens of microseconds, so a box this size takes tens of seconds
-JUMP_SCAN_LIMIT = 10 ** 6
+# most lattice points the jump scan visits, and most prefixes the
+# generator walk visits; on a 2-vCPU Xeon VM a scan point costs about
+# 1 us and a prefix 5-9 us (a generator built per prefix included), so
+# a box this size takes about 1 s to scan and 5-10 s to walk
+SCAN_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,8 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 def _enumerate_minimal(dimension: int, caps: Sequence[int],
                        member) -> Tuple[Vector, ...]:
     """The minimal members of the box prod [0, caps_i], for an upward
-    closed `member`, in descending lexicographic order.
+    closed `member` of int tuples, as Fraction vectors in descending
+    lexicographic order.
 
     Walks the staircase: for each prefix of the first n-1 coordinates,
     in lexicographic order, the least member last coordinate is found
@@ -112,32 +125,52 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     below every predecessor's.
     """
     *head, top = caps
-    least = {}
+    prefixes = prod(c + 1 for c in head)
+    if prefixes > SCAN_LIMIT:
+        raise InputError(f"the generator walk has {prefixes} prefixes, more "
+                         f"than {SCAN_LIMIT}; lower c or the exponents")
+    # least[k] is the least member last coordinate of the k-th prefix in
+    # lexicographic order, or `none` if it has no member in the box; the
+    # predecessor lowering coordinate i is `strides[i]` places back
+    strides = [prod(c + 1 for c in head[i + 1:]) for i in range(len(head))]
+    none = top + 1
+    least = []
     found = []
     for prefix in itertools.product(*(range(c + 1) for c in head)):
-        start = tuple(Fraction(b) for b in prefix)
-        predecessors = (prefix[:i] + (b - 1,) + prefix[i + 1:]
-                        for i, b in enumerate(prefix) if b)
-        above = min((least[p] for p in predecessors if p in least),
-                    default=None)
-        if above is None:
-            if not member(start + (Fraction(top),)):
+        k = len(least)
+        above = none
+        for s, b in zip(strides, prefix):
+            if b and least[k - s] < above:
+                above = least[k - s]
+        last = above
+        if above == none:
+            if not member(prefix + (top,)):
+                least.append(none)
                 continue
             last = top
-        else:
-            last = above
-        while last > 0 and member(start + (Fraction(last - 1),)):
+        while last > 0 and member(prefix + (last - 1,)):
             last -= 1
-        least[prefix] = last
-        if above is None or last < above:
-            found.append(start + (Fraction(last),))
-    return tuple(sorted(found, reverse=True))
+        least.append(last)
+        if last < above:
+            found.append(prefix + (last,))
+    found.sort(reverse=True)
+    return tuple(tuple(Fraction(b) for b in beta) for beta in found)
 
 
 def _facet_member(P: NewtonPolyhedron, c: Fraction, shift: Vector):
-    """z^beta is a member iff min <w, beta + shift>/b > c (shift >= 0)."""
-    def member(beta: Vector) -> bool:
-        return _facet_minimum(P, vadd(beta, shift)) > c
+    """z^beta is a member iff min <w, beta + shift>/b > c (shift >= 0):
+    for c = p/q, q*<w, beta> > p*b - q*<w, shift> over the facets (w, b),
+    where the integer left side may be compared with the floor of the
+    right side."""
+    p, q = c.numerator, c.denominator
+    rows = [(tuple(q * v for v in w), floor(p * b - q * dot(w, shift)))
+            for w, b in P.facets]
+
+    def member(beta: Sequence[int]) -> bool:
+        for w, t in rows:
+            if sum(map(mul, w, beta)) <= t:
+                return False
+        return True
     return member
 
 
@@ -173,7 +206,7 @@ def _axis_power_cap(dimension: int, axis_index: int, member) -> int:
     by coordinates), so the minimum is found by doubling and bisection.
     """
     def at(b: int) -> bool:
-        return member(tuple(Fraction(b if i == axis_index else 0)
+        return member(tuple(b if i == axis_index else 0
                             for i in range(dimension)))
 
     if at(0):
@@ -204,9 +237,8 @@ def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     if sum(g.exponents, ZERO) < 1:
         return MonomialIdeal(n, (tuple(ZERO for _ in range(n)),))
 
-    def member(beta: Vector) -> bool:
-        lam = vadd(beta, ones(n))
-        return classify_in_body(g, lam).verdict == INTERIOR
+    def member(beta: Sequence[int]) -> bool:
+        return _power_ratio_sign(g, tuple(b + 1 for b in beta)) > 0
 
     caps = [_axis_power_cap(n, i, member) if a > 0 else 0
             for i, a in enumerate(g.exponents)]
@@ -232,16 +264,18 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
     P = newton_polyhedron(ideal)
     caps = _caps(P, c_max)
     box = prod(c + 1 for c in caps)
-    if box > JUMP_SCAN_LIMIT:
+    if box > SCAN_LIMIT:
         raise InputError(f"the jump search box has {box} points, more than "
-                         f"{JUMP_SCAN_LIMIT}; lower c_max")
-    jumps = set()
-    for beta in itertools.product(*(range(c + 1) for c in caps)):
-        x = vadd(tuple(Fraction(b) for b in beta), ones(ideal.dimension))
-        c = critical_scale(P, x)
-        if c is not inf and 0 < c <= c_max:
-            jumps.add(c)
-    return sorted(jumps)
+                         f"{SCAN_LIMIT}; lower c_max")
+    p, q = c_max.numerator, c_max.denominator
+    facets = P.facets
+    ratios = set()
+    # x = beta + 1 runs over the box shifted by 1; every ratio is > 0
+    for x in itertools.product(*(range(1, c + 2) for c in caps)):
+        v, b = _least_facet_ratio(facets, x)
+        if q * v <= p * b:
+            ratios.add((v, b))
+    return sorted({Fraction(v, b) for v, b in ratios})
 
 
 def openness_margin(ideal: MonomialIdeal, c) -> Fraction:

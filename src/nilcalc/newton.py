@@ -4,7 +4,8 @@ The polyhedron is given by a canonical antichain of generating points
 whose convex hull, fattened by the positive orthant, is the represented
 set.  Its facets (the H-representation) are enumerated once per object,
 on first use, by exact integer double description, and critical scales
-are read off them with one dot product per facet.  `classify`, which
+are read off them with one integer dot product per facet, the ratios
+<w, x>/b compared by cross-multiplication.  `classify`, which
 must produce a margin or a separating functional, runs the exact LP
 (see `lp`)
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, inf, lcm
+from operator import ge, mul
 from typing import Optional, Sequence, Tuple
 
 from .lp import (EQ, INFEASIBLE, LEQ, UNBOUNDED, ZERO, InputError,
@@ -89,12 +91,21 @@ def minimal_antichain(points: Sequence[Vector]) -> Tuple[Vector, ...]:
     Sorted in descending lexicographic order, so pure powers of the
     first variable print first (x^2, x*y, y^3).
     """
-    uniq = sorted(set(points), reverse=True)
+    # compared as integer vectors over a common denominator; a point can
+    # only dominate points after it in ascending lexicographic order, and
+    # one dominating a dropped point dominates the point that dropped it
+    uniq = set(points)
+    den = lcm(*(v.denominator for p in uniq for v in p))
     keep = []
-    for p in uniq:
-        if not any(q != p and dominates(p, q) for q in uniq):
-            keep.append(p)
-    return tuple(keep)
+    for key, p in sorted((_scaled(p, den), p) for p in uniq):
+        if not any(all(map(ge, key, k)) for k, _ in keep):
+            keep.append((key, p))
+    return tuple(p for _, p in reversed(keep))
+
+
+def _scaled(x: Vector, den: int) -> Tuple[int, ...]:
+    """den*x as integers, for a multiple den of x's denominators."""
+    return tuple(v.numerator * (den // v.denominator) for v in x)
 
 
 def build(points: Sequence[Sequence]) -> NewtonPolyhedron:
@@ -169,9 +180,9 @@ def critical_scale(P: NewtonPolyhedron, x: Sequence):
     """Largest c with x in the closure of cP; x in c'P-interior iff c' < c.
 
     Requires x strictly positive (the interior equivalence fails on
-    coordinate hyperplanes, where membership tests call `_facet_minimum`
-    directly).  This is min <w, x>/b over the facets; math.inf for the
-    unit ideal, which has none.
+    coordinate hyperplanes, where membership tests use the facets
+    directly).  This is min <w, x>/b over the facets, found on integers
+    (see `_facet_minimum`); math.inf for the unit ideal, which has none.
     """
     xv = vector(x, P.dimension)
     if any(v <= 0 for v in xv):
@@ -181,11 +192,27 @@ def critical_scale(P: NewtonPolyhedron, x: Sequence):
 
 def _facet_minimum(P: NewtonPolyhedron, x: Vector):
     """min <w, x>/b over the facets, for an unchecked x >= 0 (on a
-    coordinate hyperplane, see the adjoint criterion in `ideals`)."""
+    coordinate hyperplane, see the adjoint criterion in `ideals`).
+
+    With x = xs/den for an integer vector xs, this is v/(b*den) for the
+    pair (v, b) = (<w, xs>, b) that `_least_facet_ratio` picks.
+    """
     den = lcm(*(v.denominator for v in x))
-    xs = [v.numerator * (den // v.denominator) for v in x]
-    return min((Fraction(sum(a * b for a, b in zip(w, xs)), b * den)
-                for w, b in P.facets), default=inf)
+    least = _least_facet_ratio(P.facets, _scaled(x, den))
+    return inf if least is None else Fraction(least[0], least[1] * den)
+
+
+def _least_facet_ratio(facets, xs: Sequence[int]
+                      ) -> Optional[Tuple[int, int]]:
+    """The pair (<w, xs>, b) of least ratio over the facets (w, b), for
+    an integer vector xs, compared by cross-multiplication (the b are
+    positive); None when there are no facets."""
+    best = None
+    for w, b in facets:
+        v = sum(map(mul, w, xs))
+        if best is None or v * best[1] < best[0] * b:
+            best = (v, b)
+    return best
 
 
 def _facets(generators: Sequence[Vector], n: int):
@@ -198,7 +225,7 @@ def _facets(generators: Sequence[Vector], n: int):
     each ray carries the bit set of the constraints tight on it.
     """
     scale = lcm(*(v.denominator for g in generators for v in g))
-    rows = [[int(v * scale) for v in g] for g in generators]
+    rows = [_scaled(g, scale) for g in generators]
     # w >= 0 and the first generator cut out a simplicial cone whose
     # rays are the columns of the inverse constraint matrix
     axes = (1 << n) - 1  # the constraints w_i >= 0
@@ -206,7 +233,7 @@ def _facets(generators: Sequence[Vector], n: int):
              axes ^ (1 << i) | 1 << n) for i in range(n)]
     rays.append(((0,) * n + (1,), axes))
     for k, row in enumerate(rows[1:], start=n + 1):
-        values = [sum(a * b for a, b in zip(row, r)) + r[n] for r, _ in rays]
+        values = [sum(map(mul, row, r)) + r[n] for r, _ in rays]
         kept = [(r, z | (1 << k) if v == 0 else z)
                 for (r, z), v in zip(rays, values) if v >= 0]
         for (p, zp), vp in zip(rays, values):

@@ -98,7 +98,11 @@ def _judge(schedule: Sequence[float], increments: Sequence[float],
         partials.append((t, total))
     ratios = []
     for prev, cur in zip(increments, increments[1:]):
-        if prev > 0.0:
+        if cur == math.inf:
+            # growth beyond float range, also after an infinite increment
+            # (inf/inf would be NaN, which no threshold accepts)
+            ratios.append(math.inf)
+        elif prev > 0.0:
             ratios.append(cur / prev)
         else:
             ratios.append(0.0 if cur == 0.0 else float("inf"))

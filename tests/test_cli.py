@@ -65,6 +65,14 @@ def test_jump_search_box_is_bounded():
     assert code == 2 and "jump search box has" in err
 
 
+def test_generator_walk_is_bounded():
+    start = time.perf_counter()
+    code, _, err = invoke("mult", "--ideal", "x^3000, y^3000, z^3000",
+                          "--c", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and "generator walk has 9006001 prefixes" in err
+
+
 def test_mult_toric():
     code, out, _ = invoke("mult", "--toric", "power(2; 1/2, 1/2)")
     assert code == 0 and out == "generators: x, y\n"
@@ -112,18 +120,19 @@ def test_usage_errors_go_to_the_stderr_stream(argv, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def _reject_constant(constant):
+    raise ValueError(f"non-finite JSON number {constant}")
+
+
 def test_oracle_overflow_is_strict_json(capsys):
     argv = ("oracle", "--op", "orthant", "--toric", "min(10*x, 10*y, 10*z)",
             "--shift", "1,1,1", "--points", "32")
-
-    def reject(constant):
-        raise ValueError(f"non-finite JSON number {constant}")
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = invoke(*argv, "--format", "json")
         assert code == 0 and err == ""
-        doc = json.loads(out, parse_constant=reject)
+        doc = json.loads(out, parse_constant=_reject_constant)
         assert doc["result"]["verdict"] == "Diverges"
         assert doc["result"]["partial_values"][-1] == [80.0, None]
         assert doc["certificates"]["ratios"][-1] is None
@@ -131,6 +140,17 @@ def test_oracle_overflow_is_strict_json(capsys):
     assert code == 0 and err == ""
     assert out.splitlines()[-1] == "T=80: inf"
     assert capsys.readouterr() == ("", "")
+
+
+def test_oracle_consecutive_infinite_increments_diverge():
+    # two shells beyond float range in a row still read as growth
+    code, out, err = invoke("oracle", "--op", "orthant", "--toric",
+                            "min(60*x, 60*y, 60*z)", "--shift", "1,1,1",
+                            "--points", "32", "--format", "json", "--strict")
+    assert code == 0 and err == ""
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["result"]["verdict"] == "Diverges"
+    assert doc["certificates"]["ratios"][1:] == [None, None]
 
 
 def test_parse_error_exit_code():

@@ -4,17 +4,19 @@ Counts are chosen so the suites together exercise well over 1000
 instances while staying fast; every check is exact.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
-from math import inf
+from math import ceil, inf, prod
 
 from nilcalc.ideals import (_facet_member, adjoint_ideal, box_audit,
                             contains, jumping_numbers, minimalize,
                             multiplier_ideal, shift_by_axis)
-from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR,
+from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, _facet_minimum,
                             axis_complement_ones, build, classify,
                             critical_scale, dominates,
-                            in_relative_interior_of_axis_face, vadd)
+                            in_relative_interior_of_axis_face,
+                            minimal_antichain, ones, vadd)
 from nilcalc.parsing import format_ideal, parse_ideal
 from nilcalc.toric import pwl_min
 
@@ -132,6 +134,85 @@ def test_critical_scale_agrees_with_lp():
         assert classify(P, x, cstar).verdict == BOUNDARY
         assert classify(P, x, cstar * F(99, 100)).verdict == INTERIOR
         assert classify(P, x, cstar * F(101, 100)).verdict == EXTERIOR
+
+
+def fraction_facet_minimum(P, x):
+    """min <w, x>/b over the facets, on Fractions throughout."""
+    return min((sum((F(a) * v for a, v in zip(w, x)), F(0)) / b
+                for w, b in P.facets), default=inf)
+
+
+def test_facet_minimum_agrees_with_fractions():
+    rng = random.Random(111)
+    kinds = ["ideal", "slopes", "slopes", "unit"]
+    for i in range(400):
+        P = random_polyhedron(rng, kinds[i % len(kinds)])
+        x = tuple(F(rng.randint(0, 9), rng.randint(1, 4))
+                  for _ in range(P.dimension))
+        assert _facet_minimum(P, x) == fraction_facet_minimum(P, x)
+
+
+def test_facet_member_agrees_with_fractions():
+    # integer thresholds against the Fraction test min <w, x>/b > c; most
+    # scales are the minimum at the first point, which is then on the
+    # boundary of c*P and not a member
+    rng = random.Random(112)
+    kinds = ["ideal", "ideal", "slopes", "unit"]
+    for i in range(400):
+        P = random_polyhedron(rng, kinds[i % len(kinds)])
+        n = P.dimension
+        shift = ones(n) if i % 2 else \
+            axis_complement_ones(n, rng.randrange(n))
+        points = [tuple(rng.randint(0, 6) for _ in range(n))
+                  for _ in range(4)]
+
+        def reference(beta):
+            return fraction_facet_minimum(P, vadd(beta, shift))
+
+        c = reference(points[0])
+        if i % 3 == 0 or c in (0, inf):
+            c = F(rng.randint(1, 12), rng.randint(1, 4))
+        member = _facet_member(P, c, shift)
+        for beta in points:
+            assert member(beta) == (reference(beta) > c), (P, c, beta)
+
+
+def test_minimal_antichain_agrees_with_definition():
+    rng = random.Random(113)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        points = [tuple(F(rng.randint(0, 4), rng.randint(1, 2))
+                        for _ in range(n))
+                  for _ in range(rng.randint(1, 12))]
+        points += rng.sample(points, rng.randint(0, len(points)))
+        rng.shuffle(points)
+        uniq = set(points)
+        minimal = [p for p in uniq
+                   if not any(q != p and dominates(p, q) for q in uniq)]
+        assert minimal_antichain(points) == \
+            tuple(sorted(minimal, reverse=True))
+
+
+def test_jumping_numbers_agree_with_critical_scales():
+    # the integer scan against critical scales of Fraction points over
+    # the same box, beta + 1 for 0 <= beta_i <= ceil(c_max * max g_i)
+    rng = random.Random(114)
+    done = 0
+    while done < 80:
+        I = random_ideal(rng, n=rng.randint(1, 4), max_exp=3, max_gens=4)
+        n = I.dimension
+        c_max = F(rng.randint(1, 2 * n + 2), rng.randint(1, 3))
+        caps = [ceil(c_max * max(g[i] for g in I.generators))
+                for i in range(n)]
+        if I.is_unit or prod(c + 1 for c in caps) > 3000:
+            continue
+        done += 1
+        P = build(I.generators)
+        scales = {critical_scale(P, tuple(F(b + 1) for b in beta))
+                  for beta in itertools.product(*(range(c + 1)
+                                                  for c in caps))}
+        assert jumping_numbers(I, c_max) == \
+            sorted(c for c in scales if c <= c_max)
 
 
 def test_adjoint_face_test_agrees_with_lp():
