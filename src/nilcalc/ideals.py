@@ -14,16 +14,23 @@ exactly from the facets <w, x> >= b of the Newton polyhedron P:
   of F other than coordinate ones are traces on H of facets of P, all
   of which hold on F (when F is empty, x_axis >= min g_axis gives 0).
 
-With c = p/q in lowest terms and the shift s = x - beta, both tests are
-q*<w, beta> > p*b - q*<w, s> for every facet: integer dot products
-against integer thresholds, computed once per enumeration.  Jumping
-numbers are the least ratios <w, beta + 1>/b, compared by
-cross-multiplication.
+With c = p/q in lowest terms and the integer shift s = x - beta, both
+tests are q*<w, beta> > p*b - q*<w, s> for every facet: integer dot
+products against integer thresholds, computed once per enumeration.
+Jumping numbers, and the margins of `openness_margin`, are the least
+ratios <w, beta + 1>/b, compared by cross-multiplication.
 
 Generator enumerations walk the staircase of the ideal inside the box
-0 <= beta_i <= ceil(c * max g_i) on integer exponent vectors;
+0 <= beta_i <= ceil(c * max g_i) on integer exponent vectors, the caps
+computed on integers from the per-axis maxima that P holds;
 `box_audit` re-runs any enumeration with the caps pushed out and checks
 that the antichain is unchanged.
+
+Each operation checks its arguments once and builds one P, on the
+ideal's generators as they stand (they are already a canonical
+antichain), so the double description for its facets runs once per
+operation; `adjunction_report` builds a second P, for the restricted
+ideal.
 """
 
 from __future__ import annotations
@@ -31,14 +38,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, inf, prod
+from math import prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
 from .newton import (NewtonPolyhedron, Vector, _least_facet_ratio,
                      axis_complement_ones, build, critical_scale, dominates,
-                     dot, minimal_antichain, ones, vadd, vector)
+                     minimal_antichain, ones, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
                     _power_ratio_sign)
 # not called here; perfbench's tracer resolves this binding in `ideals`
@@ -106,9 +113,11 @@ def contains(ideal: MonomialIdeal, beta: Sequence) -> bool:
 
 
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
+    """The Newton polyhedron of the ideal's generators, which are already
+    a canonical antichain of natural vectors."""
     if ideal.is_zero:
         raise InputError("the zero ideal has no Newton polyhedron")
-    return build(ideal.generators)
+    return NewtonPolyhedron(ideal.dimension, ideal.generators)
 
 
 def _enumerate_minimal(dimension: int, caps: Sequence[int],
@@ -157,13 +166,12 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     return tuple(tuple(Fraction(b) for b in beta) for beta in found)
 
 
-def _facet_member(P: NewtonPolyhedron, c: Fraction, shift: Vector):
-    """z^beta is a member iff min <w, beta + shift>/b > c (shift >= 0):
-    for c = p/q, q*<w, beta> > p*b - q*<w, shift> over the facets (w, b),
-    where the integer left side may be compared with the floor of the
-    right side."""
+def _facet_member(P: NewtonPolyhedron, c: Fraction, shift: Sequence[int]):
+    """z^beta is a member iff min <w, beta + shift>/b > c, for an integer
+    shift >= 0: for c = p/q, q*<w, beta> > p*b - q*<w, shift> over the
+    facets (w, b), both sides integers."""
     p, q = c.numerator, c.denominator
-    rows = [(tuple(q * v for v in w), floor(p * b - q * dot(w, shift)))
+    rows = [(tuple(q * v for v in w), p * b - q * sum(map(mul, w, shift)))
             for w, b in P.facets]
 
     def member(beta: Sequence[int]) -> bool:
@@ -175,11 +183,13 @@ def _facet_member(P: NewtonPolyhedron, c: Fraction, shift: Vector):
 
 
 def _caps(P: NewtonPolyhedron, c: Fraction) -> List[int]:
-    return [ceil(c * max(g[i] for g in P.generators))
-            for i in range(P.dimension)]
+    """ceil(c * max g_i) per axis, on integers: ceil(p*m/q) for c = p/q
+    and the maximum m = m.numerator/m.denominator."""
+    p, q = c.numerator, c.denominator
+    return [-(-p * m.numerator // (q * m.denominator)) for m in P.maxima]
 
 
-def _facet_ideal(P: NewtonPolyhedron, c: Fraction, shift: Vector,
+def _facet_ideal(P: NewtonPolyhedron, c: Fraction, shift: Sequence[int],
                  cap_bump: int = 0) -> MonomialIdeal:
     """The ideal of `_facet_member`, enumerated in the box of `_caps`."""
     caps = [b + cap_bump for b in _caps(P, c)]
@@ -187,16 +197,33 @@ def _facet_ideal(P: NewtonPolyhedron, c: Fraction, shift: Vector,
     return MonomialIdeal(P.dimension, gens)
 
 
-def multiplier_ideal(ideal: MonomialIdeal, c,
-                     cap_bump: int = 0) -> MonomialIdeal:
-    """The multiplier ideal of ideal^c; see module docstring."""
+def _scale(ideal: MonomialIdeal, c, what: str) -> Fraction:
+    """c as a Fraction, after checking that c > 0 and the ideal is not
+    zero (it has no `what`)."""
     c = frac(c)
     if c <= 0:
         raise InputError("scale c must be positive")
     if ideal.is_zero:
-        raise InputError("the zero ideal has no multiplier ideal")
-    return _facet_ideal(newton_polyhedron(ideal), c, ones(ideal.dimension),
-                        cap_bump)
+        raise InputError(f"the zero ideal has no {what}")
+    return c
+
+
+def _adjoint_shift(ideal: MonomialIdeal, axis: int) -> Tuple[int, ...]:
+    """The shift 1 - e_axis of the adjoint criterion, after checking the
+    axis and that some generator has zero axis coordinate."""
+    if not 0 <= axis < ideal.dimension:
+        raise InputError("axis index out of range")
+    if not any(g[axis] == 0 for g in ideal.generators):
+        raise HypothesisError(
+            "the ideal is contained in the axis hyperplane ideal; "
+            "the restricted weight is identically -infinity")
+    return axis_complement_ones(ideal.dimension, axis)
+
+
+def multiplier_ideal(ideal: MonomialIdeal, c) -> MonomialIdeal:
+    """The multiplier ideal of ideal^c; see module docstring."""
+    c = _scale(ideal, c, "multiplier ideal")
+    return _facet_ideal(newton_polyhedron(ideal), c, (1,) * ideal.dimension)
 
 
 def _axis_power_cap(dimension: int, axis_index: int, member) -> int:
@@ -232,7 +259,7 @@ def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     n = g.dimension
     if isinstance(g, PiecewiseLinearMin):
         return _facet_ideal(build([s for s, _ in g.pieces]), Fraction(1),
-                            ones(n))
+                            (1,) * n)
     assert isinstance(g, PowerProduct)
     if sum(g.exponents, ZERO) < 1:
         return MonomialIdeal(n, (tuple(ZERO for _ in range(n)),))
@@ -279,56 +306,46 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
 
 
 def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
-    """An eps > 0 with J(ideal^((1+eps)c)) = J(ideal^c), exactly checked."""
-    c = frac(c)
-    if c <= 0:
-        raise InputError("scale c must be positive")
-    if ideal.is_zero:
-        raise InputError("the zero ideal has no openness margin")
+    """An eps > 0 with J(ideal^((1+eps)c)) = J(ideal^c), exactly checked.
+
+    eps is half the least margin v/(b*c) - 1 of a generator beta of
+    J(ideal^c), (v, b) its least facet ratio <w, beta + 1>/b.
+    """
+    c = _scale(ideal, c, "openness margin")
     if ideal.is_unit:
         return Fraction(1)
     P = newton_polyhedron(ideal)
-    current = multiplier_ideal(ideal, c)
+    shift = (1,) * ideal.dimension
+    current = _facet_ideal(P, c, shift)
+    p, q = c.numerator, c.denominator
     eps = None
     for beta in current.generators:
-        cb = critical_scale(P, vadd(beta, ones(ideal.dimension)))
-        if cb is inf:
-            continue
-        margin = cb / c - 1
+        # a non-unit ideal's P has a facet
+        v, b = _least_facet_ratio(P.facets,
+                                  [x.numerator + 1 for x in beta])
+        margin = Fraction(q * v - p * b, p * b)
         eps = margin if eps is None else min(eps, margin)
     eps = Fraction(1) if eps is None else eps / 2
-    if multiplier_ideal(ideal, (1 + eps) * c) != current:  # pragma: no cover
+    if _facet_ideal(P, (1 + eps) * c, shift) != current:  # pragma: no cover
         raise AssertionError("openness margin failed to certify")
     return eps
 
 
-def adjoint_ideal(ideal: MonomialIdeal, c, axis: int,
-                  cap_bump: int = 0) -> MonomialIdeal:
+def adjoint_ideal(ideal: MonomialIdeal, c, axis: int) -> MonomialIdeal:
     """Adjoint ideal of ideal^c along the hyperplane {z_axis = 0}.
 
     Requires that the ideal is not contained in (z_axis), i.e. some
     generator has zero axis coordinate.
     """
-    c = frac(c)
-    if c <= 0:
-        raise InputError("scale c must be positive")
-    if ideal.is_zero:
-        raise InputError("the zero ideal has no adjoint ideal")
-    if not 0 <= axis < ideal.dimension:
-        raise InputError("axis index out of range")
-    if not any(g[axis] == 0 for g in ideal.generators):
-        raise HypothesisError(
-            "the ideal is contained in the axis hyperplane ideal; "
-            "the restricted weight is identically -infinity")
+    c = _scale(ideal, c, "adjoint ideal")
+    shift = _adjoint_shift(ideal, axis)
     # The multiplier's caps suffice: a member stays one when a coordinate
     # is lowered to a value still >= c * max g_i, by the multiplier's
     # argument, except that on the axis (> 0 there unless P = F x R_+)
     # the lowered point may lie on the boundary of c*P; moving a little
     # weight onto a generator with g_axis = 0, as the hypothesis above
     # provides, puts it back inside.
-    return _facet_ideal(newton_polyhedron(ideal), c,
-                        axis_complement_ones(ideal.dimension, axis),
-                        cap_bump)
+    return _facet_ideal(newton_polyhedron(ideal), c, shift)
 
 
 def adj0_power_membership(k, alpha: Sequence, beta: Sequence) -> bool:
@@ -388,8 +405,11 @@ def adjunction_report(ideal: MonomialIdeal, c, axis: int) -> AdjunctionReport:
     restriction_exact: the restriction of adj to the hyperplane equals
     the multiplier ideal of the restricted ideal.
     """
-    adj = adjoint_ideal(ideal, c, axis)
-    J = multiplier_ideal(ideal, c)
+    c = _scale(ideal, c, "adjoint ideal")
+    shift = _adjoint_shift(ideal, axis)
+    P = newton_polyhedron(ideal)
+    adj = _facet_ideal(P, c, shift)
+    J = _facet_ideal(P, c, (1,) * ideal.dimension)
     restricted = restrict_to_axis(ideal, axis)
     if restricted.is_zero:
         raise HypothesisError("the restricted ideal is zero; the weight "
@@ -413,18 +433,10 @@ def box_audit(ideal: MonomialIdeal, c, axis: Optional[int] = None,
     choice for this input.
     """
     if axis is None:
-        return multiplier_ideal(ideal, c) == \
-            multiplier_ideal(ideal, c, cap_bump=bump)
-    return adjoint_ideal(ideal, c, axis) == \
-        adjoint_ideal(ideal, c, axis, cap_bump=bump)
-
-
-def monomial_power(dimension: int, degree: int) -> MonomialIdeal:
-    """The power m^degree of the maximal ideal (all |beta| = degree)."""
-    if degree < 0:
-        raise InputError("degree must be non-negative")
-    gens = [tuple(Fraction(b) for b in beta)
-            for beta in itertools.product(range(degree + 1),
-                                          repeat=dimension)
-            if sum(beta) == degree]
-    return minimalize(gens, dimension)
+        c = _scale(ideal, c, "multiplier ideal")
+        shift = (1,) * ideal.dimension
+    else:
+        c = _scale(ideal, c, "adjoint ideal")
+        shift = _adjoint_shift(ideal, axis)
+    P = newton_polyhedron(ideal)
+    return _facet_ideal(P, c, shift) == _facet_ideal(P, c, shift, bump)

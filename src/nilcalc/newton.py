@@ -46,13 +46,9 @@ def ones(n: int) -> Vector:
     return (Fraction(1),) * n
 
 
-def axis_complement_ones(n: int, axis: int) -> Vector:
-    """The vector with 0 in slot `axis` and 1 elsewhere."""
-    return tuple(Fraction(0) if i == axis else Fraction(1) for i in range(n))
-
-
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
+def axis_complement_ones(n: int, axis: int) -> Tuple[int, ...]:
+    """The integer vector with 0 in slot `axis` and 1 elsewhere."""
+    return tuple(int(i != axis) for i in range(n))
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -74,6 +70,11 @@ class NewtonPolyhedron:
         """The inequalities <w, x> >= b of the facets that are not
         coordinate hyperplanes, with w >= 0 and b > 0 coprime integers."""
         return _facets(self.generators, self.dimension)
+
+    @cached_property
+    def maxima(self) -> Vector:
+        """The largest coordinate of a generator along each axis."""
+        return tuple(map(max, zip(*self.generators)))
 
 
 @dataclass(frozen=True)

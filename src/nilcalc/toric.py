@@ -330,39 +330,3 @@ def valuative_membership(g: ConcaveToricFunction,
     if certificate_slack(g, bv, w) < 0:  # pragma: no cover - soundness net
         raise AssertionError("witness fails the valuative inequality")
     return ValuativeReport(False, certificate=w)
-
-
-def gradient_sample(g: PowerProduct, sample_points: Sequence[Sequence],
-                    bump=Fraction(1, 10)) -> List[Vector]:
-    """Interior points of the body built from gradients of g.
-
-    Each sample v must be strictly positive; the returned point is a
-    rational approximation of grad g(v) pushed up by `bump` in every
-    coordinate, asserted Interior by the exact classifier.
-    """
-    if not isinstance(g, PowerProduct):
-        raise InputError("gradient sampling is defined for power products")
-    mu = frac(bump)
-    if mu <= 0:
-        raise InputError("bump must be positive")
-    out: List[Vector] = []
-    for point in sample_points:
-        v = vector(point, g.dimension)
-        if any(x <= 0 for x in v):
-            raise InputError("sample points must be strictly positive")
-        gv = evaluate(g, v)
-        if isinstance(gv, Fraction):
-            grad = tuple(a * gv / x for a, x in zip(g.exponents, v))
-        else:
-            grad = tuple(
-                Fraction(float(a) * gv / float(x)).limit_denominator(10 ** 9)
-                for a, x in zip(g.exponents, v))
-        candidate = tuple(gi + mu for gi in grad)
-        for _ in range(8):
-            if classify_in_body(g, candidate).verdict == INTERIOR:
-                break
-            candidate = tuple(ci + mu / 2 for ci in candidate)
-        else:  # pragma: no cover
-            raise AssertionError("failed to certify a gradient sample")
-        out.append(candidate)
-    return out

@@ -6,6 +6,7 @@ comparison (zero tolerance); oracle verdicts are compared as labels.
 """
 
 import io
+import itertools
 import random
 import time
 from fractions import Fraction as F
@@ -14,9 +15,8 @@ from math import lcm
 
 from nilcalc.cli import run
 from nilcalc.ideals import (adj0_power_membership, adjoint_ideal, box_audit,
-                            contains, minimalize, monomial_power,
-                            multiplier_ideal, multiplier_ideal_toric,
-                            openness_margin)
+                            contains, minimalize, multiplier_ideal,
+                            multiplier_ideal_toric, openness_margin)
 from nilcalc.newton import BOUNDARY, INTERIOR, dot
 from nilcalc.oracle import (CONVERGES, DIVERGES, OracleConfig,
                             adjoint_weighted_integral, orthant_exp_integral,
@@ -26,6 +26,12 @@ from nilcalc.toric import (certificate_slack, classify_in_body,
                            valuative_membership)
 
 CFG = OracleConfig(quadrature_points_per_axis=384)
+
+
+def monomial_power(n, d):
+    """m^d, the d-th power of the maximal ideal in n variables."""
+    return minimalize([b for b in itertools.product(range(d + 1), repeat=n)
+                       if sum(b) == d], n)
 
 
 def finish(number, name, started, budget, failures):

@@ -4,6 +4,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilcalc.cli import run
 
@@ -245,3 +247,96 @@ def test_threads_and_seed_flags():
     assert code == 2
     code, out, _ = invoke(*RADIAL, "2", "--seed", "7")
     assert code == 0 and out.startswith("verdict: Converges")
+
+
+# argv for the fuzz below: each subcommand with most of its options, the
+# values mostly well-formed (first tuple, in the dimension n of the draw
+# where they have one) and sometimes not (second); the oracle always gets
+# small --points and --samples, so that no draw runs for long
+IDEALS = (("x^2, y^3", "x^3, x*y, y^2", "x^2, y^2, z^2, x*y*z", "y^4, x*y",
+           "x*y", "1", "x^5, y^7, x^2*y^3", "x^3"),
+          ("0", "x^^2", "x^-1, y", "", "q"))
+RATIONALS = (("1", "5/6", "3/2", "7/2", "1/3"),
+             ("0", "-1", "1/0", "abc", "1e400", "100000"))
+TORIC = {1: ("min(4*x)", "min(2*x, x + 1)", "power(1; 1/2)"),
+         2: ("min(2*x, 3*y)", "min(2*x + y, x + 3*y, 1/2)",
+             "power(2; 1/2, 1/2)", "power(1; 1, 0)"),
+         3: ("min(x, y, z)", "min(3*x, 2*y + z, 4*z)",
+             "power(1; 1/3, 1/3, 1/3)")}
+BAD_TORIC = ("min()", "max(x)", "power(0; 1)", "min(-x, y)")
+VECTORS = {1: ("1", "3", "1/2", "0"), 2: ("1,1", "2,3", "1/2,2", "0,0"),
+           3: ("1,1,1", "2,1,3", "1/2,1,1")}
+BAD_VECTORS = ("-1,1", "a,b", "", "1,1,1,1,1")
+AXES = (("x", "y"), ("z", "q"))
+
+
+def fuzz_commands(n):
+    """(subcommand, options) pairs, values in n dimensions; an option's
+    values are a pair (well-formed, malformed), None for a bare flag."""
+    toric, vectors = (TORIC[n], BAD_TORIC), (VECTORS[n], BAD_VECTORS)
+    tail = (("--schedule", (("10,20,40", "1,2,3", "5,10,20,40"),
+                            ("5,10", "40,20,10", "nan,20,40", "1,x,3"))),
+            ("--strict", None))
+    return (
+        ("mult", (("--ideal", IDEALS), ("--c", RATIONALS))),
+        ("mult", (("--toric", toric),)),
+        ("adj", (("--ideal", IDEALS), ("--c", RATIONALS), ("--axis", AXES))),
+        ("adj0", (("--k", RATIONALS), ("--alpha", vectors),
+                  ("--beta", vectors))),
+        ("lct", (("--ideal", IDEALS),)),
+        ("jump", (("--ideal", IDEALS), ("--cmax", RATIONALS))),
+        ("openness", (("--ideal", IDEALS), ("--c", RATIONALS))),
+        ("valuation", (("--toric", toric), ("--beta", vectors))),
+        ("check-adjunction", (("--ideal", IDEALS), ("--c", RATIONALS),
+                              ("--axis", AXES))),
+        ("oracle --op=orthant",
+         (("--toric", toric), ("--shift", vectors)) + tail),
+        ("oracle --op=weighted",
+         (("--toric", toric), ("--shift", vectors), ("--eps", RATIONALS))
+         + tail),
+        ("oracle --op=polydisk",
+         (("--toric", toric), ("--beta", vectors),
+          ("--weight", (("plain", "poincare_axis_1"), ())),
+          ("--seed", (("0", "7"), ("x",)))) + tail),
+        ("oracle --op=radial",
+         (("--k", RATIONALS), ("--beta", (VECTORS[1], ("1,1",)))) + tail),
+    )
+
+
+def fuzz_value(draw, values):
+    good, bad = values
+    malformed = bad and draw(st.integers(0, 5)) == 5
+    return draw(st.sampled_from(bad if malformed else good))
+
+
+@st.composite
+def argvs(draw):
+    # hypothesis favours small integers, so the rare case is the top one:
+    # an option is left out at 7 of 0..7, a malformed value drawn at 5
+    command, options = draw(st.sampled_from(
+        fuzz_commands(draw(st.integers(1, 3)))))
+    argv = command.split()
+    for flag, values in options:
+        if draw(st.integers(0, 7)) == 7:
+            continue
+        argv.append(flag if values is None
+                    else f"{flag}={fuzz_value(draw, values)}")
+    if argv[0] == "oracle":
+        argv.append(f"--points={fuzz_value(draw, (('16', '8', '2'), ('0',)))}")
+        argv.append("--samples="
+                    + fuzz_value(draw, (("1000", "100", "1"), ("0",))))
+    if draw(st.booleans()):
+        argv.append("--format=json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argvs())
+def test_run_never_fails_outside_its_exit_codes(argv):
+    code, out, err = invoke(*argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code == 0:
+        assert err == "", (argv, err)
+    if "--format=json" in argv and out:
+        json.loads(out, parse_constant=_reject_constant)

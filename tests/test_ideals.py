@@ -1,3 +1,4 @@
+import itertools
 import time
 from fractions import Fraction as F
 from math import inf
@@ -7,15 +8,22 @@ import pytest
 from nilcalc.ideals import (MonomialIdeal, adj0_power_membership,
                             adjoint_ideal, adjunction_report, box_audit,
                             contains, intersect_axis_multiples,
-                            jumping_numbers, lct, minimalize, monomial_power,
+                            jumping_numbers, lct, minimalize,
                             multiplier_ideal, multiplier_ideal_toric,
                             openness_margin, restrict_to_axis, shift_by_axis)
+from nilcalc import newton
 from nilcalc.lp import HypothesisError, InputError
 from nilcalc.toric import power_product, pwl_min
 
 
 def ideal(*gens, dim=None):
     return minimalize(list(gens), dim)
+
+
+def monomial_power(n, d):
+    """m^d, the d-th power of the maximal ideal in n variables."""
+    return minimalize([b for b in itertools.product(range(d + 1), repeat=n)
+                       if sum(b) == d], n)
 
 
 def gens_set(I):
@@ -184,3 +192,30 @@ def test_many_generators_stay_fast(n, d):
     start = time.perf_counter()
     assert multiplier_ideal(I, 1) == monomial_power(n, d - n + 1)
     assert time.perf_counter() - start < 1
+
+
+def test_one_double_description_per_operation(monkeypatch):
+    # every operation builds the Newton polyhedron of its ideal once;
+    # the adjunction report also builds that of the restricted ideal
+    runs = []
+    facets = newton._facets
+
+    def counted(generators, n):
+        runs.append(n)
+        return facets(generators, n)
+    monkeypatch.setattr(newton, "_facets", counted)
+    I = ideal((5, 0, 0), (0, 4, 0), (0, 0, 3), (2, 1, 1), (0, 2, 1))
+    operations = [
+        (lambda: multiplier_ideal(I, F(3, 2)), 1),
+        (lambda: adjoint_ideal(I, F(3, 2), 1), 1),
+        (lambda: lct(I), 1),
+        (lambda: jumping_numbers(I, 1), 1),
+        (lambda: openness_margin(I, F(3, 2)), 1),
+        (lambda: box_audit(I, F(3, 2)), 1),
+        (lambda: box_audit(I, F(3, 2), axis=1), 1),
+        (lambda: adjunction_report(I, F(3, 2), 1), 2),
+    ]
+    for k, (operation, expected) in enumerate(operations):
+        runs.clear()
+        operation()
+        assert len(runs) == expected, k

@@ -9,14 +9,15 @@ import random
 from fractions import Fraction as F
 from math import ceil, inf, prod
 
-from nilcalc.ideals import (_facet_member, adjoint_ideal, box_audit,
+from nilcalc.ideals import (_caps, _facet_member, adjoint_ideal, box_audit,
                             contains, jumping_numbers, minimalize,
-                            multiplier_ideal, shift_by_axis)
+                            multiplier_ideal, newton_polyhedron,
+                            openness_margin, shift_by_axis)
 from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, _facet_minimum,
                             axis_complement_ones, build, classify,
                             critical_scale, dominates,
                             in_relative_interior_of_axis_face,
-                            minimal_antichain, ones, vadd)
+                            minimal_antichain, ones)
 from nilcalc.parsing import format_ideal, parse_ideal
 from nilcalc.toric import pwl_min
 
@@ -26,6 +27,10 @@ def random_ideal(rng, n=None, max_exp=4, max_gens=4):
     gens = [tuple(rng.randint(0, max_exp) for _ in range(n))
             for _ in range(rng.randint(1, max_gens))]
     return minimalize(gens, n)
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 def is_antichain(I):
@@ -175,6 +180,41 @@ def test_facet_member_agrees_with_fractions():
         member = _facet_member(P, c, shift)
         for beta in points:
             assert member(beta) == (reference(beta) > c), (P, c, beta)
+
+
+def test_caps_agree_with_fractions():
+    rng = random.Random(115)
+    kinds = ["ideal", "slopes", "slopes", "unit"]
+    for i in range(400):
+        P = random_polyhedron(rng, kinds[i % len(kinds)])
+        c = F(rng.randint(1, 24), rng.randint(1, 7))
+        assert _caps(P, c) == [ceil(c * max(g[i] for g in P.generators))
+                               for i in range(P.dimension)], (P, c)
+
+
+def test_openness_margin_agrees_with_critical_scales():
+    # half the least margin critical_scale(P, beta + 1)/c - 1 over the
+    # generators beta of J(I^c), on Fraction points
+    rng = random.Random(116)
+    for _ in range(150):
+        I = random_ideal(rng, n=rng.randint(1, 4), max_exp=4, max_gens=4)
+        c = F(rng.randint(1, 12), rng.randint(1, 4))
+        if I.is_unit:
+            assert openness_margin(I, c) == 1
+            continue
+        P = build(I.generators)
+        margins = [critical_scale(P, vadd(beta, ones(I.dimension))) / c - 1
+                   for beta in multiplier_ideal(I, c).generators]
+        assert openness_margin(I, c) == min(margins) / 2, (I, c)
+
+
+def test_newton_polyhedron_is_the_built_one():
+    rng = random.Random(117)
+    for _ in range(200):
+        I = random_ideal(rng, n=rng.randint(1, 4), max_exp=5, max_gens=6)
+        P = newton_polyhedron(I)
+        assert P.generators == build(I.generators).generators
+        assert P.dimension == I.dimension
 
 
 def test_minimal_antichain_agrees_with_definition():

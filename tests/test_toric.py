@@ -7,8 +7,8 @@ from nilcalc.lp import InputError
 from nilcalc.newton import BOUNDARY, EXTERIOR, INTERIOR
 from nilcalc.toric import (certificate_slack, classify_in_body, evaluate,
                            exp_integrable, exp_integrable_shifted,
-                           gradient_sample, homogenized_value, power_product,
-                           pwl_min, valuative_membership)
+                           homogenized_value, power_product, pwl_min,
+                           valuative_membership)
 
 G_23 = pwl_min([((2, 0), 0), ((0, 3), 0)])
 
@@ -109,18 +109,6 @@ def test_valuative_membership_power():
     assert certificate_slack(k2, (0, 0), rep.certificate) >= 0
     rep = valuative_membership(k2, (1, 0))
     assert rep.member and rep.margin > 0
-
-
-def test_gradient_sample():
-    k2 = power_product(2, (F(1, 2), F(1, 2)))
-    out = gradient_sample(k2, [(1, 1)])
-    assert out == [(F(11, 10), F(11, 10))]
-    lin = power_product(1, (F(1), F(0)))
-    out = gradient_sample(lin, [(1, 1)])
-    assert classify_in_body(lin, out[0]).verdict == INTERIOR
-    assert gradient_sample(k2, []) == []
-    with pytest.raises(InputError):
-        gradient_sample(k2, [(0, 1)])
 
 
 def test_homogeneity_and_monotonicity():
