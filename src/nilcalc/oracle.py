@@ -23,8 +23,18 @@ sum is taken in closed form along the last axis, piece by piece, from
 per-piece partial sums (`_envelope_box`); power products are summed
 over the grid itself (`_grid_box`), which is also the tests' reference.
 
+The polydisk integral is estimated by Monte Carlo.  Each shell box's
+samples are drawn into one preallocated array and evaluated in blocks of
+_MC_CHUNK samples small enough to stay in cache: for a minimum of linear
+forms the exponent of a block is one small matrix product and a minimum
+over its rows.  These blocks, the tensor grid and the radial integral
+exponentiate through `_exp`, which equals np.exp(np.minimum(x, 700)) bit
+for bit but keeps numpy's exp on its vector path: arguments below
+_EXP_FAST, where np.exp turns to a slow scalar path, become 0.0 or are
+computed one by one.
+
 Estimates are deterministic functions of the config (including the
-Monte Carlo routine, whose streams are keyed by seed and shell).
+Monte Carlo routine, whose streams are keyed by seed, shell and box).
 """
 
 from __future__ import annotations
@@ -46,8 +56,15 @@ INCONCLUSIVE = "Inconclusive"
 PLAIN = "plain"
 POINCARE_AXIS_1 = "poincare_axis_1"
 
+MC_SAMPLES_LIMIT = 10_000_000  # ten times the default mc_samples
+
 _GRID_CHUNK = 1 << 22  # max tensor-grid points evaluated at once
 _ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
+# Monte Carlo samples evaluated at once; _MC_CHUNK e^700 / (log 2)^2 is
+# below the float maximum, so the sum over one block is always finite
+_MC_CHUNK = 1 << 13
+_EXP_FAST = -700.0  # np.exp stays on its vector path down to about -707.7
+_EXP_ZERO = -745.2  # below about -745.13 e^x rounds to 0.0
 
 
 @dataclass(frozen=True)
@@ -72,8 +89,8 @@ class OracleConfig:
                              "strictly increasing")
         if self.quadrature_points_per_axis < 2:
             raise InputError("need at least 2 quadrature points per axis")
-        if self.mc_samples <= 0:
-            raise InputError("mc_samples must be positive")
+        if not 0 < self.mc_samples <= MC_SAMPLES_LIMIT:
+            raise InputError(f"mc_samples must lie in [1, {MC_SAMPLES_LIMIT}]")
         for name in ("convergence_ratio_threshold",
                      "divergence_growth_threshold",
                      "algebraic_decay_threshold"):
@@ -163,6 +180,30 @@ def _axis_grid(a: float, b: float, m: int,
     return x, w
 
 
+def _exp(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """np.exp(np.minimum(x, 700)), bit for bit, without the slow path
+    numpy's exp takes for arguments whose result is tiny.
+
+    The vector exp runs on x clipped to [_EXP_FAST, 700]; the arguments
+    below _EXP_FAST are then set to 0.0, or computed exactly where the
+    result does not round to 0.  x and out are C-contiguous, and out may
+    be x itself.
+    """
+    band = None
+    if not x.min() >= _EXP_FAST:  # also true for a NaN in x
+        band = np.flatnonzero(x < _EXP_FAST)
+        low = x.reshape(-1)[band]
+    out = np.maximum(x, _EXP_FAST, out=out)
+    np.minimum(out, 700.0, out=out)
+    np.exp(out, out=out)
+    if band is not None:
+        keep = low >= _EXP_ZERO
+        tiny = np.zeros_like(low)
+        tiny[keep] = np.exp(low[keep])
+        out.reshape(-1)[band] = tiny
+    return out
+
+
 def _g_values(g: ConcaveToricFunction, coords: Sequence[np.ndarray]):
     """g evaluated on broadcast coordinate arrays."""
     if isinstance(g, PiecewiseLinearMin):
@@ -211,7 +252,7 @@ def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
         expo = 2.0 * gv
         for Ai, (x, _) in zip(A, [(x0[start:stop], None)] + rest):
             expo = expo - 2.0 * Ai * x
-        vals = np.exp(np.minimum(expo, 700.0))
+        vals = _exp(expo, out=expo)
         if weight_axis0:
             vals = vals / np.square(x0[start:stop])
         wprod = w0[start:stop]
@@ -388,6 +429,13 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
     [log 2, inf)^n; the poincare_axis_1 weight multiplies the integrand
     by e^{2 t_1} / t_1^2.  Sampling is uniform in t (log-uniform in the
     radii), with a stream per shell box keyed by the seed.
+
+    For a minimum of linear forms the exponent is the least of the
+    affine forms D_k . t + 2 c_k, with rows D_k = 2 a_k - (2 beta + 2)
+    (plus 2 e_1 under the Poincare weight), so each block of _MC_CHUNK
+    samples costs one small matrix product, a minimum over the rows and
+    `_exp`.  A power product is the single row -(2 beta + 2) plus
+    2 g(t) from `_g_values` on the same block.
     """
     bv = fvec(beta)
     if len(bv) != g.dimension:
@@ -401,27 +449,45 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
         raise InputError("truncation schedule must exceed log 2")
     shells = _shells([lo] * g.dimension, cfg.truncation_schedule)
     samples_per_box = max(1, cfg.mc_samples // sum(map(len, shells)))
-    coeff = tuple(2.0 * float(b) + 2.0 for b in bv)
+    linear = np.array([-2.0 * float(b) - 2.0 for b in bv])
+    poincare = weight == POINCARE_AXIS_1
+    if poincare:
+        linear[0] += 2.0
+    if isinstance(g, PiecewiseLinearMin):
+        rows = np.array([[2.0 * float(s) for s in slope]
+                         for slope, _ in g.pieces]) + linear
+        offsets = np.array([[2.0 * float(off)] for _, off in g.pieces])
+    else:
+        rows, offsets = linear[None, :], np.zeros((1, 1))
+    pts = np.empty((g.dimension, samples_per_box))
+    block = np.empty((len(rows), min(_MC_CHUNK, samples_per_box)))
     increments = []
     for si, boxes in enumerate(shells):
         inc = 0.0
         for bi, box in enumerate(boxes):
             rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, si, bi])
             volume = 1.0
-            pts = []
-            for a, b in box:
+            for row, (a, b) in zip(pts, box):
+                # the values of rng.uniform(a, b, samples_per_box)
                 volume *= b - a
-                pts.append(rng.uniform(a, b, samples_per_box))
-            gv = _g_values(g, [p for p in pts])
-            expo = 2.0 * gv
-            for c, p in zip(coeff, pts):
-                expo = expo - c * p
-            if weight == POINCARE_AXIS_1:
-                expo = expo + 2.0 * pts[0]
-                vals = np.exp(np.minimum(expo, 700.0)) / np.square(pts[0])
-            else:
-                vals = np.exp(np.minimum(expo, 700.0))
-            inc += volume * float(np.mean(vals))
+                rng.random(out=row)
+                row *= b - a
+                row += a
+            total = 0.0
+            for start in range(0, samples_per_box, _MC_CHUNK):
+                p = pts[:, start:start + _MC_CHUNK]
+                expo = block[:, :p.shape[1]]
+                # numpy's matmul is slow for an inner dimension of 1
+                (np.multiply if len(p) == 1 else np.matmul)(rows, p, out=expo)
+                expo += offsets
+                vals = expo.min(axis=0)
+                if isinstance(g, PowerProduct):
+                    vals += 2.0 * _g_values(g, p)
+                _exp(vals, out=vals)
+                if poincare:
+                    vals /= np.square(p[0])
+                total += float(vals.sum())
+            inc += volume * (total / samples_per_box)
         increments.append(inc)
     return _judge(cfg.truncation_schedule, increments, cfg)
 
@@ -442,7 +508,6 @@ def radial_power_integral(k, beta: int,
     prev = lo
     for t in cfg.truncation_schedule:
         x, w = _axis_grid(prev, t, cfg.quadrature_points_per_axis, False)
-        increments.append(float(np.sum(
-            np.exp(np.minimum(rate * x, 700.0)) * w)))
+        increments.append(float(np.sum(_exp(rate * x) * w)))
         prev = t
     return _judge(cfg.truncation_schedule, increments, cfg)

@@ -233,6 +233,23 @@ def test_oracle_zero_points_and_samples(flag):
     assert code == 2 and out == ""
 
 
+def test_oracle_samples_above_the_limit():
+    code, out, err = invoke("oracle", "--op", "polydisk", "--toric",
+                            "min(2*x, 3*y)", "--beta", "0,0",
+                            "--samples", "10000001")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "mc_samples" in err
+
+
+@pytest.mark.parametrize("toric,verdict", [
+    ("power(1; 1/2, 1/2)", "Converges"), ("power(4; 1/2, 1/2)", "Diverges")])
+def test_oracle_polydisk_power_product(toric, verdict):
+    code, out, _ = invoke("oracle", "--op", "polydisk", "--toric", toric,
+                          "--beta", "0,0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["verdict"] == verdict
+
+
 def test_non_numeric_schedule_is_an_input_error():
     code, out, err = invoke(*RADIAL, "2", "--schedule", "10,abc,40")
     assert code == 2 and out == ""

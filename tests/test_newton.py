@@ -4,11 +4,10 @@ from math import inf
 
 import pytest
 
+from axis_faces import axis_face, in_relative_interior_of_axis_face
 from nilcalc.lp import InputError
-from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, axis_face, build,
-                            classify, critical_scale, dot,
-                            in_relative_interior_of_axis_face,
-                            minimal_antichain, ones)
+from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, build, classify,
+                            critical_scale, dot, minimal_antichain, ones)
 
 
 def check_witness(P, x, c, cls):

@@ -1,14 +1,18 @@
+import math
 import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
+from nilcalc import oracle
 from nilcalc.lp import InputError
-from nilcalc.oracle import (CONVERGES, DIVERGES, OracleConfig, _envelope_box,
-                            _grid_box, adjoint_weighted_integral,
-                            orthant_exp_integral, polydisk_mc,
-                            radial_power_integral)
+from nilcalc.oracle import (CONVERGES, DIVERGES, MC_SAMPLES_LIMIT,
+                            POINCARE_AXIS_1, OracleConfig, _envelope_box,
+                            _exp, _g_values, _grid_box, _judge, _shells,
+                            adjoint_weighted_integral, orthant_exp_integral,
+                            polydisk_mc, radial_power_integral)
 from nilcalc.toric import exp_integrable_shifted, power_product, pwl_min
 
 G_23 = pwl_min([((2, 0), 0), ((0, 3), 0)])
@@ -27,6 +31,9 @@ def test_config_validation():
         OracleConfig(convergence_ratio_threshold=0)
     with pytest.raises(InputError):
         OracleConfig(mc_samples=0)
+    with pytest.raises(InputError, match="mc_samples"):
+        OracleConfig(mc_samples=MC_SAMPLES_LIMIT + 1)
+    assert OracleConfig(mc_samples=MC_SAMPLES_LIMIT).mc_samples == 10 ** 7
 
 
 def test_orthant_trivial_closed_form():
@@ -79,6 +86,27 @@ def test_poincare_weight_matches_weighted_quadrature():
         CONVERGES
     assert polydisk_mc(G_M6, (0, 5), "poincare_axis_1", FAST).verdict == \
         DIVERGES
+
+
+def test_polydisk_power_products():
+    cases = [((1, 1), (0,)), ((3, 1), (0,)), ((3, 1), (3,)),
+             ((1, F(1, 2), F(1, 2)), (0, 0)), ((4, F(1, 2), F(1, 2)), (0, 0)),
+             ((4, F(1, 2), F(1, 2)), (2, 2)), ((2, F(1, 4), F(1, 2)), (1, 0)),
+             ((1, F(1, 3), F(1, 3), F(1, 3)), (0, 0, 0)),
+             ((6, F(1, 3), F(1, 3), F(1, 3)), (0, 0, 0))]
+    for (k, *exponents), beta in cases:
+        g = power_product(k, exponents)
+        shift = tuple(b + 1 for b in beta)
+        want = CONVERGES if exp_integrable_shifted(g, shift) else DIVERGES
+        assert polydisk_mc(g, beta, "plain", FAST).verdict == want, (k, beta)
+
+
+def test_polydisk_beyond_float_range_diverges():
+    # a box's mean of values near e^700 used to overflow inside np.mean,
+    # with a RuntimeWarning; each block's sum stays finite
+    v = polydisk_mc(pwl_min([((400,), 0)]), (0,), "plain", FAST)
+    assert v.verdict == DIVERGES
+    assert v.partial_values[-1][1] == math.inf
 
 
 def test_determinism():
@@ -178,3 +206,96 @@ def test_orthant_3d_at_default_settings():
         want = CONVERGES if exp_integrable_shifted(g, A) else DIVERGES
         assert orthant_exp_integral(g, A).verdict == want
     assert time.perf_counter() - start < 15
+
+
+def reference_polydisk_mc(g, beta, weight, cfg):
+    """The per-box elementwise evaluation that the block kernel replaced:
+    one rng.uniform draw per axis, then the exponent built axis by axis
+    around `_g_values` and one np.exp over the whole box."""
+    lo = float(np.log(2.0))
+    shells = _shells([lo] * g.dimension, cfg.truncation_schedule)
+    samples_per_box = max(1, cfg.mc_samples // sum(map(len, shells)))
+    coeff = tuple(2.0 * float(b) + 2.0 for b in beta)
+    increments = []
+    for si, boxes in enumerate(shells):
+        inc = 0.0
+        for bi, box in enumerate(boxes):
+            rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, si, bi])
+            volume = 1.0
+            pts = []
+            for a, b in box:
+                volume *= b - a
+                pts.append(rng.uniform(a, b, samples_per_box))
+            expo = 2.0 * _g_values(g, pts)
+            for c, p in zip(coeff, pts):
+                expo = expo - c * p
+            if weight == POINCARE_AXIS_1:
+                expo = expo + 2.0 * pts[0]
+                vals = np.exp(np.minimum(expo, 700.0)) / np.square(pts[0])
+            else:
+                vals = np.exp(np.minimum(expo, 700.0))
+            with np.errstate(over="ignore"):  # a box beyond float range
+                inc += volume * float(np.mean(vals))
+        increments.append(inc)
+    return _judge(cfg.truncation_schedule, increments, cfg)
+
+
+def random_toric(rng, n, power):
+    if power:
+        parts = [rng.randint(0, 4) for _ in range(n)]
+        exponents = [F(p, max(4, sum(parts))) for p in parts]
+        return power_product(F(rng.randint(1, 16), rng.randint(1, 4)),
+                             exponents)
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        slope = tuple(F(rng.randint(0, 12), rng.randint(1, 3))
+                      for _ in range(n))
+        pieces.append((slope, F(rng.randint(-40, 40), rng.randint(1, 4))))
+    if rng.random() < 0.3 and len(pieces) > 1:  # equal slopes
+        pieces[1] = (pieces[0][0], pieces[1][1])
+    return pwl_min(pieces)
+
+
+def test_polydisk_kernel_agrees_with_reference(monkeypatch):
+    rng = random.Random(808)
+    for trial in range(540):
+        n = 1 + trial % 3
+        g = random_toric(rng, n, power=trial % 5 == 4)
+        beta = tuple(rng.randint(0, 5) for _ in range(n))
+        weight = POINCARE_AXIS_1 if trial % 4 == 3 else "plain"
+        samples = rng.choice((1, 700, 9000, 40000))
+        cfg = OracleConfig(mc_samples=samples, seed=trial)
+        # blocks that split a box, down to a single sample
+        monkeypatch.setattr(oracle, "_MC_CHUNK", rng.choice(
+            (1, 999, 8192) if samples < 1000 else (999, 8192)))
+        want = reference_polydisk_mc(g, beta, weight, cfg)
+        got = polydisk_mc(g, beta, weight, cfg)
+        case = (g, beta, weight, cfg)
+        assert got.verdict == want.verdict, case
+        for a, b in zip(got.evidence["increments"],
+                        want.evidence["increments"]):
+            if b == math.inf:
+                assert a == b, case
+            elif b >= 1e-280:
+                assert abs(a - b) <= 1e-12 * b, case
+            else:
+                assert abs(a - b) <= 1e-280, case
+
+
+def test_exp_is_the_clamped_exp_bit_for_bit():
+    # below log(2^-1075) = -745.133... the exponential rounds to 0.0
+    cutoff = -1075 * math.log(2.0)
+    x = np.concatenate([
+        np.linspace(-800.0, 720.0, 1_520_001),
+        # where np.exp leaves its vector path, and the zero cutoff
+        np.linspace(-708.0, -707.0, 10_001),
+        cutoff + np.arange(-3000, 3001) * math.ulp(cutoff),
+        [-745.2, -700.0, 700.0, -np.inf, np.inf, np.nan, -0.0],
+    ])
+    want = np.exp(np.minimum(x, 700.0)).view(np.uint64)
+    assert np.array_equal(_exp(x).view(np.uint64), want)
+    grid = x.reshape(2, -1)
+    assert np.array_equal(_exp(grid).view(np.uint64), want.reshape(2, -1))
+    same = x.copy()
+    assert _exp(same, out=same) is same
+    assert np.array_equal(same.view(np.uint64), want)

@@ -9,15 +9,15 @@ import random
 from fractions import Fraction as F
 from math import ceil, inf, prod
 
+from axis_faces import in_relative_interior_of_axis_face
 from nilcalc.ideals import (_caps, _facet_member, adjoint_ideal, box_audit,
                             contains, jumping_numbers, minimalize,
                             multiplier_ideal, newton_polyhedron,
                             openness_margin, shift_by_axis)
 from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, _facet_minimum,
                             axis_complement_ones, build, classify,
-                            critical_scale, dominates,
-                            in_relative_interior_of_axis_face,
-                            minimal_antichain, ones)
+                            critical_scale, dominates, minimal_antichain,
+                            ones)
 from nilcalc.parsing import format_ideal, parse_ideal
 from nilcalc.toric import pwl_min
 
