@@ -1,6 +1,6 @@
 """Exact calculator for multiplier and adjoint ideals of monomial
-ideals and toric weights, with rational LP certificates and numerical
-convergence oracles."""
+ideals and toric weights, decided from the facets of Newton polyhedra,
+with checkable certificates and numerical convergence oracles."""
 
 __version__ = "0.1.0"
 

@@ -47,14 +47,15 @@ from .newton import (NewtonPolyhedron, Vector, _least_facet_ratio,
                      axis_complement_ones, build, critical_scale, dominates,
                      minimal_antichain, ones, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
-                    _power_ratio_sign)
+                    _floor_root, _power_data, _power_ratio_sign)
 # not called here; perfbench's tracer resolves this binding in `ideals`
 from .toric import classify_in_body  # noqa: F401
 
-# most lattice points the jump scan visits, and most prefixes the
-# generator walk visits; on a 2-vCPU Xeon VM a scan point costs about
-# 1 us and a prefix 5-9 us (a generator built per prefix included), so
-# a box this size takes about 1 s to scan and 5-10 s to walk
+# most lattice points the jump scan visits, and most prefixes and most
+# steps down the last axis the generator walk takes; on a 2-vCPU Xeon VM
+# a scan point costs about 1 us and a prefix 5-9 us (a generator built
+# per prefix included), so a box this size takes about 1 s to scan and
+# 5-10 s to walk
 SCAN_LIMIT = 10 ** 6
 
 
@@ -131,7 +132,8 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     by stepping down from the least one of a predecessor prefix (which
     is a member, by upward closure), or from the cap when no
     predecessor has any.  The point is minimal iff it lies strictly
-    below every predecessor's.
+    below every predecessor's.  Both the prefixes and the steps down,
+    over the whole walk, are bounded by SCAN_LIMIT.
     """
     *head, top = caps
     prefixes = prod(c + 1 for c in head)
@@ -143,6 +145,7 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     # predecessor lowering coordinate i is `strides[i]` places back
     strides = [prod(c + 1 for c in head[i + 1:]) for i in range(len(head))]
     none = top + 1
+    steps = SCAN_LIMIT  # steps down left
     least = []
     found = []
     for prefix in itertools.product(*(range(c + 1) for c in head)):
@@ -158,6 +161,11 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
                 continue
             last = top
         while last > 0 and member(prefix + (last - 1,)):
+            if not steps:
+                raise InputError(f"the generator walk steps down more than "
+                                 f"{SCAN_LIMIT} times; lower c or the "
+                                 f"exponents")
+            steps -= 1
             last -= 1
         least.append(last)
         if last < above:
@@ -226,34 +234,6 @@ def multiplier_ideal(ideal: MonomialIdeal, c) -> MonomialIdeal:
     return _facet_ideal(newton_polyhedron(ideal), c, (1,) * ideal.dimension)
 
 
-def _axis_power_cap(dimension: int, axis_index: int, member) -> int:
-    """min{b : b*e_axis is a member}; an InputError if it exceeds 2^20.
-
-    Membership is upward closed (ideals are stable under multiplication
-    by coordinates), so the minimum is found by doubling and bisection.
-    """
-    def at(b: int) -> bool:
-        return member(tuple(b if i == axis_index else 0
-                            for i in range(dimension)))
-
-    if at(0):
-        return 0
-    if not at(1 << 20):
-        raise InputError("generator enumeration box is too large "
-                         "for these exponents")
-    hi = 1
-    while not at(hi):
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     """Multiplier ideal of the toric weight attached to g."""
     n = g.dimension
@@ -267,9 +247,20 @@ def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     def member(beta: Sequence[int]) -> bool:
         return _power_ratio_sign(g, tuple(b + 1 for b in beta)) > 0
 
-    caps = [_axis_power_cap(n, i, member) if a > 0 else 0
-            for i, a in enumerate(g.exponents)]
-    return MonomialIdeal(n, _enumerate_minimal(n, caps, member))
+    return MonomialIdeal(n, _enumerate_minimal(n, _power_caps(g), member))
+
+
+def _power_caps(g: PowerProduct) -> List[int]:
+    """The least b with b*e_i a member of the multiplier ideal of g, per
+    axis i, or 0 where a_i = 0.
+
+    With a_j = p_j/q, b*e_i is a member iff (b+1)^p_i > R = k^q prod
+    a_j^p_j, iff b+1 exceeds the floor p_i-th root of floor(R).
+    """
+    q, ps = _power_data(g)
+    R = g.scale ** q * prod(a ** p for a, p in zip(g.exponents, ps))
+    return [_floor_root(R.numerator // R.denominator, p) if p else 0
+            for p in ps]
 
 
 def lct(ideal: MonomialIdeal):

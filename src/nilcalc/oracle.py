@@ -56,6 +56,7 @@ INCONCLUSIVE = "Inconclusive"
 PLAIN = "plain"
 POINCARE_AXIS_1 = "poincare_axis_1"
 
+QUADRATURE_POINTS_LIMIT = 5120  # ten times the default points per axis
 MC_SAMPLES_LIMIT = 10_000_000  # ten times the default mc_samples
 
 _GRID_CHUNK = 1 << 22  # max tensor-grid points evaluated at once
@@ -87,8 +88,10 @@ class OracleConfig:
         if any(b <= a for a, b in zip(sched, sched[1:])) or sched[0] <= 0:
             raise InputError("truncation schedule must be positive and "
                              "strictly increasing")
-        if self.quadrature_points_per_axis < 2:
-            raise InputError("need at least 2 quadrature points per axis")
+        if not 2 <= self.quadrature_points_per_axis <= \
+                QUADRATURE_POINTS_LIMIT:
+            raise InputError(f"quadrature_points_per_axis must lie in "
+                             f"[2, {QUADRATURE_POINTS_LIMIT}]")
         if not 0 < self.mc_samples <= MC_SAMPLES_LIMIT:
             raise InputError(f"mc_samples must lie in [1, {MC_SAMPLES_LIMIT}]")
         for name in ("convergence_ratio_threshold",

@@ -94,11 +94,9 @@ def power_product(k, exponents: Sequence) -> PowerProduct:
     return PowerProduct(kf, al)
 
 
-def _iroot(value: int, k: int) -> Optional[int]:
-    """Exact integer k-th root, or None."""
-    if value < 0:
-        return None
-    if value in (0, 1) or k == 1:
+def _floor_root(value: int, k: int) -> int:
+    """floor(value ** (1/k)) for an integer value >= 0."""
+    if value < 2 or k == 1:
         return value
     # Newton's iteration from above 2^ceil(bits/k) > root descends to
     # the floor of the root
@@ -106,8 +104,16 @@ def _iroot(value: int, k: int) -> Optional[int]:
     while True:
         s = ((k - 1) * r + value // r ** (k - 1)) // k
         if s >= r:
-            return r if r ** k == value else None
+            return r
         r = s
+
+
+def _iroot(value: int, k: int) -> Optional[int]:
+    """Exact integer k-th root, or None."""
+    if value < 0:
+        return None
+    r = _floor_root(value, k)
+    return r if r ** k == value else None
 
 
 def _rational_root(value: Fraction, k: int) -> Optional[Fraction]:

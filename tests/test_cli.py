@@ -80,6 +80,11 @@ def test_mult_toric():
     assert code == 0 and out == "generators: x, y\n"
 
 
+def test_mult_toric_power_beyond_two_to_the_twenty():
+    code, out, _ = invoke("mult", "--toric", "power(3000000; 1)")
+    assert code == 0 and out == "generators: x^3000000\n"
+
+
 def test_adj0():
     code, out, _ = invoke("adj0", "--k", "6", "--alpha", "1,1",
                           "--beta", "2,3")
@@ -239,6 +244,13 @@ def test_oracle_samples_above_the_limit():
                             "--samples", "10000001")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "mc_samples" in err
+
+
+def test_oracle_points_above_the_limit():
+    # refused before numpy allocates anything
+    code, out, err = invoke(*RADIAL, "2", "--points", "100000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "quadrature_points_per_axis" in err
 
 
 @pytest.mark.parametrize("toric,verdict", [

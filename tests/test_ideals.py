@@ -1,11 +1,13 @@
 import itertools
+import random
 import time
 from fractions import Fraction as F
 from math import inf
 
 import pytest
 
-from nilcalc.ideals import (MonomialIdeal, adj0_power_membership,
+from nilcalc.ideals import (SCAN_LIMIT, MonomialIdeal, _enumerate_minimal,
+                            _power_caps, adj0_power_membership,
                             adjoint_ideal, adjunction_report, box_audit,
                             contains, intersect_axis_multiples,
                             jumping_numbers, lct, minimalize,
@@ -13,7 +15,7 @@ from nilcalc.ideals import (MonomialIdeal, adj0_power_membership,
                             openness_margin, restrict_to_axis, shift_by_axis)
 from nilcalc import newton
 from nilcalc.lp import HypothesisError, InputError
-from nilcalc.toric import power_product, pwl_min
+from nilcalc.toric import _power_ratio_sign, power_product, pwl_min
 
 
 def ideal(*gens, dim=None):
@@ -68,6 +70,43 @@ def test_multiplier_ideal_toric():
                                                     F(1, 3)))).is_unit
     gm = pwl_min([((2, 0), 0), ((0, 3), 0)])
     assert multiplier_ideal_toric(gm) == multiplier_ideal(A23, 1)
+
+
+def test_power_caps_are_least_axis_members():
+    rng = random.Random(15)
+    big = 0
+    for _ in range(1500):
+        n = rng.randint(1, 3)
+        q = rng.choice((1, 2, 3, 5, 12))
+        ps = [rng.randint(0, q) for _ in range(n)]
+        while sum(ps) > q:
+            ps[rng.randrange(n)] = 0
+        k = F(rng.randint(1, 10 ** rng.randint(1, 9)), rng.randint(1, 50))
+        g = power_product(k, tuple(F(p, q) for p in ps))
+        for i, cap in enumerate(_power_caps(g)):
+            def member(b):
+                lam = tuple(F(b + 1 if j == i else 1) for j in range(n))
+                return _power_ratio_sign(g, lam) > 0
+            if ps[i]:
+                assert member(cap) and (cap == 0 or not member(cap - 1))
+                big += cap >= 1 << 20
+            else:
+                assert cap == 0
+    assert big > 0  # caps the former 2^20 bound refused
+
+
+def test_generator_walk_bounds_its_steps_down():
+    calls = 0
+
+    def member(beta):
+        nonlocal calls
+        calls += 1
+        if calls > 3 * SCAN_LIMIT:
+            raise AssertionError("the walk is not bounded")
+        return True
+
+    with pytest.raises(InputError, match="steps down more than"):
+        _enumerate_minimal(2, [1, 10 ** 9], member)
 
 
 def test_lct():

@@ -4,7 +4,8 @@ from math import inf
 
 import pytest
 
-from axis_faces import axis_face, in_relative_interior_of_axis_face
+from axis_faces import (axis_face, in_relative_interior_of_axis_face,
+                        lp_classify)
 from nilcalc.lp import InputError
 from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, build, classify,
                             critical_scale, dot, minimal_antichain, ones)
@@ -145,3 +146,19 @@ def test_face_consistency():
         x = tuple(F(0) if i == p else F(rng.randint(0, 5))
                   for i in range(n))
         assert classify(P, x, 1).verdict != INTERIOR
+
+
+def test_classify_agrees_with_lp():
+    # rational generators, points with zero and negative coordinates
+    rng = random.Random(14)
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        P = build([tuple(F(rng.randint(0, 6), rng.randint(1, 3))
+                         for _ in range(n))
+                   for _ in range(rng.randint(1, 5))])
+        x = tuple(F(rng.randint(-2, 8), rng.randint(1, 3)) if rng.random()
+                  < 0.8 else F(0) for _ in range(n))
+        c = F(rng.randint(1, 6), rng.randint(1, 4))
+        cls, ref = classify(P, x, c), lp_classify(P, x, c)
+        assert cls.verdict == ref.verdict and cls.margin == ref.margin
+        check_witness(P, x, c, cls)

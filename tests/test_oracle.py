@@ -9,8 +9,9 @@ import pytest
 from nilcalc import oracle
 from nilcalc.lp import InputError
 from nilcalc.oracle import (CONVERGES, DIVERGES, MC_SAMPLES_LIMIT,
-                            POINCARE_AXIS_1, OracleConfig, _envelope_box,
-                            _exp, _g_values, _grid_box, _judge, _shells,
+                            POINCARE_AXIS_1, QUADRATURE_POINTS_LIMIT,
+                            OracleConfig, _envelope_box, _exp, _g_values,
+                            _grid_box, _judge, _shells,
                             adjoint_weighted_integral, orthant_exp_integral,
                             polydisk_mc, radial_power_integral)
 from nilcalc.toric import exp_integrable_shifted, power_product, pwl_min
@@ -34,6 +35,10 @@ def test_config_validation():
     with pytest.raises(InputError, match="mc_samples"):
         OracleConfig(mc_samples=MC_SAMPLES_LIMIT + 1)
     assert OracleConfig(mc_samples=MC_SAMPLES_LIMIT).mc_samples == 10 ** 7
+    with pytest.raises(InputError, match="quadrature_points_per_axis"):
+        OracleConfig(quadrature_points_per_axis=QUADRATURE_POINTS_LIMIT + 1)
+    assert OracleConfig(quadrature_points_per_axis=QUADRATURE_POINTS_LIMIT
+                        ).quadrature_points_per_axis == 5120
 
 
 def test_orthant_trivial_closed_form():

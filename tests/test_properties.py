@@ -9,7 +9,7 @@ import random
 from fractions import Fraction as F
 from math import ceil, inf, prod
 
-from axis_faces import in_relative_interior_of_axis_face
+from axis_faces import in_relative_interior_of_axis_face, lp_classify
 from nilcalc.ideals import (_caps, _facet_member, adjoint_ideal, box_audit,
                             contains, jumping_numbers, minimalize,
                             multiplier_ideal, newton_polyhedron,
@@ -134,11 +134,11 @@ def test_critical_scale_agrees_with_lp():
         cstar = critical_scale(P, x)
         if cstar == inf:
             assert P.generators == ((F(0),) * P.dimension,)
-            assert classify(P, x, 1000).verdict == INTERIOR
+            assert lp_classify(P, x, 1000).verdict == INTERIOR
             continue
-        assert classify(P, x, cstar).verdict == BOUNDARY
-        assert classify(P, x, cstar * F(99, 100)).verdict == INTERIOR
-        assert classify(P, x, cstar * F(101, 100)).verdict == EXTERIOR
+        assert lp_classify(P, x, cstar).verdict == BOUNDARY
+        assert lp_classify(P, x, cstar * F(99, 100)).verdict == INTERIOR
+        assert lp_classify(P, x, cstar * F(101, 100)).verdict == EXTERIOR
 
 
 def fraction_facet_minimum(P, x):
