@@ -22,7 +22,9 @@ ratios <w, beta + 1>/b, compared by cross-multiplication.
 
 Generator enumerations walk the staircase of the ideal inside the box
 0 <= beta_i <= ceil(c * max g_i) on integer exponent vectors, the caps
-computed on integers from the per-axis maxima that P holds;
+computed on integers from the per-axis maxima that P holds; with the
+other coordinates fixed, the least member last coordinate is a maximum
+of integer floors over the facets (an integer root for a power product).
 `box_audit` re-runs any enumeration with the caps pushed out and checks
 that the antichain is unchanged.
 
@@ -47,15 +49,15 @@ from .newton import (NewtonPolyhedron, Vector, _least_facet_ratio,
                      axis_complement_ones, build, critical_scale, dominates,
                      minimal_antichain, ones, vector)
 from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
-                    _floor_root, _power_data, _power_ratio_sign)
+                    _floor_root, _power_data)
 # not called here; perfbench's tracer resolves this binding in `ideals`
 from .toric import classify_in_body  # noqa: F401
 
-# most lattice points the jump scan visits, and most prefixes and most
-# steps down the last axis the generator walk takes; on a 2-vCPU Xeon VM
-# a scan point costs about 1 us and a prefix 5-9 us (a generator built
+# most lattice points the jump scan visits, and most prefixes the
+# generator walk takes; on a 2-vCPU Xeon VM a scan point costs about 1 us
+# and a prefix 4-6 us (one closed-form least member and a generator built
 # per prefix included), so a box this size takes about 1 s to scan and
-# 5-10 s to walk
+# about 5 s to walk
 SCAN_LIMIT = 10 ** 6
 
 
@@ -122,18 +124,18 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 
 def _enumerate_minimal(dimension: int, caps: Sequence[int],
-                       member) -> Tuple[Vector, ...]:
-    """The minimal members of the box prod [0, caps_i], for an upward
-    closed `member` of int tuples, as Fraction vectors in descending
-    lexicographic order.
+                       least_last) -> Tuple[Vector, ...]:
+    """The minimal members of the box prod [0, caps_i] of an upward
+    closed set of int tuples, as Fraction vectors in descending
+    lexicographic order; `least_last(prefix)` is the least last
+    coordinate of a member with the first n-1 coordinates `prefix`, or
+    None if no member has them.
 
-    Walks the staircase: for each prefix of the first n-1 coordinates,
-    in lexicographic order, the least member last coordinate is found
-    by stepping down from the least one of a predecessor prefix (which
-    is a member, by upward closure), or from the cap when no
-    predecessor has any.  The point is minimal iff it lies strictly
-    below every predecessor's.  Both the prefixes and the steps down,
-    over the whole walk, are bounded by SCAN_LIMIT.
+    Walks the staircase: for each prefix, in lexicographic order, the
+    point with the least member last coordinate is minimal iff it lies
+    strictly below every predecessor prefix's (whose least values are
+    upper bounds, by upward closure); a predecessor at 0 puts the prefix
+    at 0 with no call.  The prefixes are bounded by SCAN_LIMIT.
     """
     *head, top = caps
     prefixes = prod(c + 1 for c in head)
@@ -145,7 +147,6 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     # predecessor lowering coordinate i is `strides[i]` places back
     strides = [prod(c + 1 for c in head[i + 1:]) for i in range(len(head))]
     none = top + 1
-    steps = SCAN_LIMIT  # steps down left
     least = []
     found = []
     for prefix in itertools.product(*(range(c + 1) for c in head)):
@@ -154,19 +155,9 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
         for s, b in zip(strides, prefix):
             if b and least[k - s] < above:
                 above = least[k - s]
-        last = above
-        if above == none:
-            if not member(prefix + (top,)):
-                least.append(none)
-                continue
-            last = top
-        while last > 0 and member(prefix + (last - 1,)):
-            if not steps:
-                raise InputError(f"the generator walk steps down more than "
-                                 f"{SCAN_LIMIT} times; lower c or the "
-                                 f"exponents")
-            steps -= 1
-            last -= 1
+        last = least_last(prefix) if above else 0
+        if last is None or last > top:
+            last = none
         least.append(last)
         if last < above:
             found.append(prefix + (last,))
@@ -174,20 +165,28 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     return tuple(tuple(Fraction(b) for b in beta) for beta in found)
 
 
-def _facet_member(P: NewtonPolyhedron, c: Fraction, shift: Sequence[int]):
-    """z^beta is a member iff min <w, beta + shift>/b > c, for an integer
-    shift >= 0: for c = p/q, q*<w, beta> > p*b - q*<w, shift> over the
-    facets (w, b), both sides integers."""
+def _facet_least_last(P: NewtonPolyhedron, c: Fraction,
+                      shift: Sequence[int]):
+    """`least_last` for min <w, beta + shift>/b > c, an integer shift >= 0:
+    for c = p/q, q*<w, beta> > t = p*b - q*<w, shift> on every facet
+    (w, b), so beta_last > (t - q*<w_head, prefix>)/(q*w_last) where
+    w_last > 0, and the prefix alone decides where w_last = 0."""
     p, q = c.numerator, c.denominator
-    rows = [(tuple(q * v for v in w), p * b - q * sum(map(mul, w, shift)))
-            for w, b in P.facets]
+    rows = [(tuple(q * v for v in w[:-1]), q * w[-1],
+             p * b - q * sum(map(mul, w, shift))) for w, b in P.facets]
 
-    def member(beta: Sequence[int]) -> bool:
-        for w, t in rows:
-            if sum(map(mul, w, beta)) <= t:
-                return False
-        return True
-    return member
+    def least_last(prefix: Sequence[int]) -> Optional[int]:
+        last = 0
+        for w, d, t in rows:
+            r = t - sum(map(mul, w, prefix))
+            if d:
+                r = r // d + 1
+                if r > last:
+                    last = r
+            elif r >= 0:
+                return None
+        return last
+    return least_last
 
 
 def _caps(P: NewtonPolyhedron, c: Fraction) -> List[int]:
@@ -199,9 +198,10 @@ def _caps(P: NewtonPolyhedron, c: Fraction) -> List[int]:
 
 def _facet_ideal(P: NewtonPolyhedron, c: Fraction, shift: Sequence[int],
                  cap_bump: int = 0) -> MonomialIdeal:
-    """The ideal of `_facet_member`, enumerated in the box of `_caps`."""
+    """The ideal of `_facet_least_last`, enumerated in the box of `_caps`."""
     caps = [b + cap_bump for b in _caps(P, c)]
-    gens = _enumerate_minimal(P.dimension, caps, _facet_member(P, c, shift))
+    gens = _enumerate_minimal(P.dimension, caps,
+                              _facet_least_last(P, c, shift))
     return MonomialIdeal(P.dimension, gens)
 
 
@@ -243,24 +243,33 @@ def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     assert isinstance(g, PowerProduct)
     if sum(g.exponents, ZERO) < 1:
         return MonomialIdeal(n, (tuple(ZERO for _ in range(n)),))
+    # None only where p_i = 0, and minimal generators have beta_i = 0 there
+    caps = [_power_least(g, i)((0,) * (n - 1)) or 0 for i in range(n)]
+    return MonomialIdeal(n, _enumerate_minimal(n, caps,
+                                               _power_least(g, n - 1)))
 
-    def member(beta: Sequence[int]) -> bool:
-        return _power_ratio_sign(g, tuple(b + 1 for b in beta)) > 0
 
-    return MonomialIdeal(n, _enumerate_minimal(n, _power_caps(g), member))
+def _power_least(g: PowerProduct, axis: int):
+    """`least_last` along the axis for the multiplier ideal of g
+    (exponent sum 1), as a function of the other coordinates of beta.
 
-
-def _power_caps(g: PowerProduct) -> List[int]:
-    """The least b with b*e_i a member of the multiplier ideal of g, per
-    axis i, or 0 where a_i = 0.
-
-    With a_j = p_j/q, b*e_i is a member iff (b+1)^p_i > R = k^q prod
-    a_j^p_j, iff b+1 exceeds the floor p_i-th root of floor(R).
+    With a_j = p_j/q, z^beta is a member iff prod (beta_j + 1)^p_j > R =
+    k^q prod a_j^p_j, iff (beta_axis + 1)^p_axis > m = floor(R / prod_{j
+    != axis} (beta_j + 1)^p_j): the floor p_axis-th root of m, or where
+    p_axis = 0, 0 if m = 0 and None otherwise.  At 0 it is the axis cap.
     """
     q, ps = _power_data(g)
     R = g.scale ** q * prod(a ** p for a, p in zip(g.exponents, ps))
-    return [_floor_root(R.numerator // R.denominator, p) if p else 0
-            for p in ps]
+    p = ps[axis]
+    others = ps[:axis] + ps[axis + 1:]
+
+    def least(rest: Sequence[int]) -> Optional[int]:
+        m = R.numerator // (R.denominator * prod(
+            (b + 1) ** e for b, e in zip(rest, others) if e))
+        if p:
+            return _floor_root(m, p)
+        return None if m else 0
+    return least
 
 
 def lct(ideal: MonomialIdeal):

@@ -6,11 +6,11 @@ three integrals are truncated to a growing schedule of boxes and the
 verdict is read off the increments between consecutive truncations:
 
 * geometric decay of the increments (ratio below
-  convergence_ratio_threshold on every step) reads as Converges,
-* sustained growth (ratio above divergence_growth_threshold on every
+  CONVERGENCE_RATIO_THRESHOLD on every step) reads as Converges,
+* sustained growth (ratio above DIVERGENCE_GROWTH_THRESHOLD on every
   step) reads as Diverges,
 * shrinking increments with an algebraic ratio (every ratio below
-  algebraic_decay_threshold and a negligible final increment) also
+  ALGEBRAIC_DECAY_THRESHOLD and a negligible final increment) also
   read as Converges -- this is the regime of the 1/t_1^2-weighted
   integrals, whose tails decay like 1/T rather than exponentially,
 * anything else is Inconclusive.
@@ -59,6 +59,11 @@ POINCARE_AXIS_1 = "poincare_axis_1"
 QUADRATURE_POINTS_LIMIT = 5120  # ten times the default points per axis
 MC_SAMPLES_LIMIT = 10_000_000  # ten times the default mc_samples
 
+# bounds on the ratios of consecutive increments, see the module docstring
+CONVERGENCE_RATIO_THRESHOLD = 0.25
+DIVERGENCE_GROWTH_THRESHOLD = 0.9
+ALGEBRAIC_DECAY_THRESHOLD = 0.7
+
 _GRID_CHUNK = 1 << 22  # max tensor-grid points evaluated at once
 _ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
 # Monte Carlo samples evaluated at once; _MC_CHUNK e^700 / (log 2)^2 is
@@ -74,9 +79,6 @@ class OracleConfig:
     quadrature_points_per_axis: int = 512
     mc_samples: int = 1_000_000
     seed: int = 0
-    convergence_ratio_threshold: float = 0.25
-    divergence_growth_threshold: float = 0.9
-    algebraic_decay_threshold: float = 0.7
 
     def __post_init__(self):
         sched = tuple(float(t) for t in self.truncation_schedule)
@@ -94,12 +96,6 @@ class OracleConfig:
                              f"[2, {QUADRATURE_POINTS_LIMIT}]")
         if not 0 < self.mc_samples <= MC_SAMPLES_LIMIT:
             raise InputError(f"mc_samples must lie in [1, {MC_SAMPLES_LIMIT}]")
-        for name in ("convergence_ratio_threshold",
-                     "divergence_growth_threshold",
-                     "algebraic_decay_threshold"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise InputError(f"{name} must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -109,8 +105,8 @@ class ConvergenceVerdict:
     evidence: Dict[str, object] = field(default_factory=dict)
 
 
-def _judge(schedule: Sequence[float], increments: Sequence[float],
-           cfg: OracleConfig) -> ConvergenceVerdict:
+def _judge(schedule: Sequence[float],
+           increments: Sequence[float]) -> ConvergenceVerdict:
     partials = []
     total = 0.0
     for t, inc in zip(schedule, increments):
@@ -128,15 +124,15 @@ def _judge(schedule: Sequence[float], increments: Sequence[float],
             ratios.append(0.0 if cur == 0.0 else float("inf"))
     evidence: Dict[str, object] = {"increments": tuple(increments),
                                    "ratios": tuple(ratios)}
-    grow = cfg.divergence_growth_threshold
-    if all(r <= cfg.convergence_ratio_threshold for r in ratios):
+    grow = DIVERGENCE_GROWTH_THRESHOLD
+    if all(r <= CONVERGENCE_RATIO_THRESHOLD for r in ratios):
         verdict, rule = CONVERGES, "geometric decay"
     elif all(r >= grow for r in ratios) or (
             # the first increment is the base box, not a tail shell; a
             # tail that stopped shrinking still reads as divergence
             len(ratios) >= 2 and all(r >= grow for r in ratios[1:])):
         verdict, rule = DIVERGES, "sustained growth"
-    elif (all(r <= cfg.algebraic_decay_threshold for r in ratios)
+    elif (all(r <= ALGEBRAIC_DECAY_THRESHOLD for r in ratios)
           and total > 0.0 and increments[-1] <= 0.1 * total):
         verdict, rule = CONVERGES, "algebraic decay"
     else:
@@ -382,7 +378,7 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
         increments = [sum(_quadrature_box(g, A, box, m, weight_axis0)
                           for box in boxes)
                       for boxes in _shells(lows, cfg.truncation_schedule)]
-    return _judge(cfg.truncation_schedule, increments, cfg)
+    return _judge(cfg.truncation_schedule, increments)
 
 
 def orthant_exp_integral(g: ConcaveToricFunction, A: Sequence,
@@ -492,7 +488,7 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
                 total += float(vals.sum())
             inc += volume * (total / samples_per_box)
         increments.append(inc)
-    return _judge(cfg.truncation_schedule, increments, cfg)
+    return _judge(cfg.truncation_schedule, increments)
 
 
 def radial_power_integral(k, beta: int,
@@ -513,4 +509,4 @@ def radial_power_integral(k, beta: int,
         x, w = _axis_grid(prev, t, cfg.quadrature_points_per_axis, False)
         increments.append(float(np.sum(_exp(rate * x) * w)))
         prev = t
-    return _judge(cfg.truncation_schedule, increments, cfg)
+    return _judge(cfg.truncation_schedule, increments)

@@ -179,9 +179,8 @@ def homogenized_value(g: ConcaveToricFunction, w: Sequence):
     return evaluate(g, wv)
 
 
-def _body_margin_power(g: PowerProduct, lam: Vector,
-                       iterations: int = 40) -> Fraction:
-    """Certified dyadic lower bound for the interior margin of lam.
+def _body_margin_power(g: PowerProduct, lam: Vector) -> Fraction:
+    """Certified dyadic lower bound for the interior margin of lam > 0.
 
     The exact margin solves a polynomial equation and is irrational in
     general; the bisection bound still satisfies lam - margin*1 in the
@@ -189,25 +188,15 @@ def _body_margin_power(g: PowerProduct, lam: Vector,
     """
     support = [i for i, a in enumerate(g.exponents) if a > 0]
     if not support:
-        pos = [v for v in lam if v > 0]
-        return min(pos) if len(pos) == len(lam) else Fraction(1)
+        return min(lam)
     if sum(g.exponents, ZERO) < 1:
         return min(lam[i] for i in support) / 2
-
-    def in_closure(eps: Fraction) -> bool:
-        shifted = tuple(v - eps for v in lam)
-        if any(shifted[i] < 0 for i in support):
-            return False
-        vq, q = _power_value_pow_q(g, tuple(
-            (s / a if a > 0 else Fraction(0))
-            for s, a in zip(shifted, g.exponents)))
-        return vq / g.scale ** q >= g.scale ** q
-
     lo = ZERO
     hi = min(lam[i] for i in support)
-    for _ in range(iterations):
+    for _ in range(40):
+        # mid < hi keeps lam - mid positive on the support
         mid = (lo + hi) / 2
-        if in_closure(mid):
+        if _power_ratio_sign(g, tuple(v - mid for v in lam)) >= 0:
             lo = mid
         else:
             hi = mid
@@ -237,15 +226,11 @@ def _power_separating_direction(g: PowerProduct, lam: Vector) -> Vector:
     # lam vanishes on the support: push mass along that axis until the
     # homogeneous value exactly beats <w, lam>.
     i = zero_support[0]
-    q, ps = _power_data(g)
     m = 1
     while True:
         w = tuple(Fraction(1) + (Fraction(m) if j == i else ZERO)
                   for j in range(g.dimension))
-        ghat_q = g.scale ** q
-        for wj, p in zip(w, ps):
-            if p:
-                ghat_q *= wj ** p
+        ghat_q, q = _power_value_pow_q(g, w)
         if ghat_q >= dot(w, lam) ** q:
             return w
         m *= 2
@@ -266,21 +251,27 @@ def classify_in_body(g: ConcaveToricFunction,
     if isinstance(g, PiecewiseLinearMin):
         P = build([s for s, _ in g.pieces])
         return classify(P, lv, Fraction(1))
+
+    def unit(j: int) -> Vector:
+        return tuple(Fraction(1) if i == j else ZERO
+                     for i in range(g.dimension))
+
     if sum(g.exponents, ZERO) < 1:
-        support = [i for i, a in enumerate(g.exponents) if a > 0]
-        if all(lv[i] > 0 for i in support):
+        for i, a in enumerate(g.exponents):
+            if a > 0 and lv[i] == 0:
+                return PointClassification(EXTERIOR, witness=unit(i))
+    else:
+        sign = _power_ratio_sign(g, lv)
+        if sign <= 0:
+            verdict = BOUNDARY if sign == 0 else EXTERIOR
             return PointClassification(
-                INTERIOR, margin=_body_margin_power(g, lv))
-        bad = next(i for i in support if lv[i] == 0)
-        w = tuple(Fraction(1) if j == bad else ZERO
-                  for j in range(g.dimension))
-        return PointClassification(EXTERIOR, witness=w)
-    sign = _power_ratio_sign(g, lv)
-    if sign > 0:
-        return PointClassification(INTERIOR, margin=_body_margin_power(g, lv))
-    w = _power_separating_direction(g, lv)
-    verdict = BOUNDARY if sign == 0 else EXTERIOR
-    return PointClassification(verdict, witness=w)
+                verdict, witness=_power_separating_direction(g, lv))
+    # lam is interior to the body in the coordinates g depends on; a zero
+    # coordinate off the support still puts it on the orthant's boundary
+    for j, a in enumerate(g.exponents):
+        if a == 0 and lv[j] == 0:
+            return PointClassification(BOUNDARY, witness=unit(j))
+    return PointClassification(INTERIOR, margin=_body_margin_power(g, lv))
 
 
 def exp_integrable(g: ConcaveToricFunction) -> bool:

@@ -75,6 +75,20 @@ def test_generator_walk_is_bounded():
     assert code == 2 and "generator walk has 9006001 prefixes" in err
 
 
+@pytest.mark.parametrize("argv, tail", [
+    (("mult", "--ideal", "x, y^10000000", "--c", "1"), "generators: 1\n"),
+    (("mult", "--ideal", "x^2, y^100000000", "--c", "1"),
+     "generators: x, y^50000000\n"),
+    (("mult", "--toric", "power(10; 9/10, 1/10)"), ", y^387420489\n"),
+])
+def test_long_last_axis_is_answered(argv, tail):
+    # the least member on the last axis is a closed form, not a search
+    start = time.perf_counter()
+    code, out, _ = invoke(*argv)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out.endswith(tail)
+
+
 def test_mult_toric():
     code, out, _ = invoke("mult", "--toric", "power(2; 1/2, 1/2)")
     assert code == 0 and out == "generators: x, y\n"

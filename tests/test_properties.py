@@ -10,9 +10,9 @@ from fractions import Fraction as F
 from math import ceil, inf, prod
 
 from axis_faces import in_relative_interior_of_axis_face, lp_classify
-from nilcalc.ideals import (_caps, _facet_member, adjoint_ideal, box_audit,
-                            contains, jumping_numbers, minimalize,
-                            multiplier_ideal, newton_polyhedron,
+from nilcalc.ideals import (_caps, _facet_least_last, adjoint_ideal,
+                            box_audit, contains, jumping_numbers,
+                            minimalize, multiplier_ideal, newton_polyhedron,
                             openness_margin, shift_by_axis)
 from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, _facet_minimum,
                             axis_complement_ones, build, classify,
@@ -177,9 +177,16 @@ def test_facet_member_agrees_with_fractions():
         c = reference(points[0])
         if i % 3 == 0 or c in (0, inf):
             c = F(rng.randint(1, 12), rng.randint(1, 4))
-        member = _facet_member(P, c, shift)
+        least_last = _facet_least_last(P, c, shift)
         for beta in points:
-            assert member(beta) == (reference(beta) > c), (P, c, beta)
+            *head, last = beta
+            L = least_last(head)
+            assert (L is not None and last >= L) == (reference(beta) > c), \
+                (P, c, beta)
+            # L is the least member; None leaves none up to the cap
+            below = _caps(P, c)[-1] if L is None else L - 1
+            if below >= 0:
+                assert not reference((*head, below)) > c, (P, c, beta)
 
 
 def test_caps_agree_with_fractions():
@@ -263,12 +270,20 @@ def test_adjoint_face_test_agrees_with_lp():
         axis = rng.randrange(n)
         c = F(rng.randint(1, 8), rng.randint(1, 4))
         shift = axis_complement_ones(n, axis)
-        member = _facet_member(P, c, shift)
+        least_last = _facet_least_last(P, c, shift)
+
+        def reference(beta):
+            return in_relative_interior_of_axis_face(
+                P, axis, vadd(beta, shift), c)
         for _ in range(3):
             beta = tuple(F(0) if i == axis else F(rng.randint(0, 6))
                          for i in range(n))
-            assert member(beta) == in_relative_interior_of_axis_face(
-                P, axis, vadd(beta, shift), c)
+            *head, last = beta
+            L = least_last(head)
+            assert (L is not None and last >= L) == reference(beta)
+            below = _caps(P, c)[-1] if L is None else L - 1
+            if below >= 0:
+                assert not reference((*head, F(below)))
 
 
 def test_adjoint_caps_pass_box_audit():

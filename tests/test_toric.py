@@ -75,6 +75,35 @@ def test_classify_in_body():
     assert classify_in_body(sub, (1, 1)).verdict == INTERIOR
 
 
+def test_power_product_zero_coordinate_off_support_is_boundary():
+    # y = 0 bounds the body of k*x^a as it bounds that of min(x)
+    for g, lam in ((power_product(1, (1, 0)), (2, 0)),
+                   (power_product(1, (F(1, 2), 0)), (1, 0)),
+                   (pwl_min([((1, 0), 0)]), (2, 0))):
+        cls = classify_in_body(g, lam)
+        assert cls.verdict == BOUNDARY and cls.witness == (0, 1)
+        assert not exp_integrable_shifted(g, lam)
+    assert not exp_integrable(power_product(1, (0, 0)))
+    cls = classify_in_body(power_product(1, (1, 0)), (2, 1))
+    assert cls.verdict == INTERIOR and cls.margin > 0
+
+
+def test_power_product_matches_its_linear_form():
+    # k*x_i written as a power product and as a minimum of one linear form
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        i = rng.randrange(n)
+        k = F(rng.randint(1, 6), rng.randint(1, 3))
+        e = tuple(1 if j == i else 0 for j in range(n))
+        lam = tuple(F(rng.randint(0, 8), rng.randint(1, 3)) if rng.random()
+                    < 0.6 else F(0) for _ in range(n))
+        power = classify_in_body(power_product(k, e), lam)
+        linear = classify_in_body(pwl_min([(tuple(k * v for v in e), 0)]),
+                                  lam)
+        assert power.verdict == linear.verdict, (k, i, lam)
+
+
 def test_interior_margin_stays_in_body():
     k2 = power_product(2, (F(1, 2), F(1, 2)))
     cls = classify_in_body(k2, (3, 2))
