@@ -46,11 +46,12 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
 from .newton import (NewtonPolyhedron, Vector, _least_facet_ratio,
-                     axis_complement_ones, build, critical_scale, dominates,
+                     axis_complement_ones, critical_scale, dominates,
                      minimal_antichain, ones, vector)
-from .toric import (ConcaveToricFunction, PiecewiseLinearMin, PowerProduct,
-                    _floor_root, _power_data)
-# not called here; perfbench's tracer resolves this binding in `ideals`
+from .toric import (ConcaveToricFunction, PowerProduct, _floor_root,
+                    _power_criterion, body_polyhedron)
+# not called here; perfbench's tracer resolves these bindings in `ideals`
+from .newton import build  # noqa: F401
 from .toric import classify_in_body  # noqa: F401
 
 # most lattice points the jump scan visits, and most prefixes the
@@ -237,12 +238,9 @@ def multiplier_ideal(ideal: MonomialIdeal, c) -> MonomialIdeal:
 def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     """Multiplier ideal of the toric weight attached to g."""
     n = g.dimension
-    if isinstance(g, PiecewiseLinearMin):
-        return _facet_ideal(build([s for s, _ in g.pieces]), Fraction(1),
-                            (1,) * n)
-    assert isinstance(g, PowerProduct)
-    if sum(g.exponents, ZERO) < 1:
-        return MonomialIdeal(n, (tuple(ZERO for _ in range(n)),))
+    P = body_polyhedron(g)
+    if P is not None:
+        return _facet_ideal(P, Fraction(1), (1,) * n)
     # None only where p_i = 0, and minimal generators have beta_i = 0 there
     caps = [_power_least(g, i)((0,) * (n - 1)) or 0 for i in range(n)]
     return MonomialIdeal(n, _enumerate_minimal(n, caps,
@@ -253,13 +251,12 @@ def _power_least(g: PowerProduct, axis: int):
     """`least_last` along the axis for the multiplier ideal of g
     (exponent sum 1), as a function of the other coordinates of beta.
 
-    With a_j = p_j/q, z^beta is a member iff prod (beta_j + 1)^p_j > R =
-    k^q prod a_j^p_j, iff (beta_axis + 1)^p_axis > m = floor(R / prod_{j
+    By `toric`'s power criterion (p, R), z^beta is a member iff prod
+    (beta_j + 1)^p_j > R, iff (beta_axis + 1)^p_axis > m = floor(R / prod_{j
     != axis} (beta_j + 1)^p_j): the floor p_axis-th root of m, or where
     p_axis = 0, 0 if m = 0 and None otherwise.  At 0 it is the axis cap.
     """
-    q, ps = _power_data(g)
-    R = g.scale ** q * prod(a ** p for a, p in zip(g.exponents, ps))
+    ps, R = _power_criterion(g)
     p = ps[axis]
     others = ps[:axis] + ps[axis + 1:]
 

@@ -3,13 +3,16 @@
 Two families are representable exactly:
 
 * `PiecewiseLinearMin` -- g(x) = min_i (<slope_i, x> + offset_i) with
-  componentwise non-negative slopes.  Its body has the same interior as
-  the Newton polyhedron built on the slopes; offsets never change any
-  verdict.
+  componentwise non-negative slopes; offsets never change any verdict.
 * `PowerProduct` -- g(x) = k * x_1^a_1 ... x_n^a_n with k > 0 and
-  sum(a) <= 1 (the concavity threshold).  Body membership is decided
-  exactly by clearing the denominators of the exponents and comparing
-  integer powers; no floating point enters any verdict.
+  sum(a) <= 1 (the concavity threshold).
+
+Each has one exact body.  `body_polyhedron` gives its Newton polyhedron
+where it is polyhedral, read by `newton.classify`: the slopes' for a
+minimum, the orthant for sum(a) < 1 (the homogenization is 0).  For
+sum(a) = 1 and a = p/q, lam is interior iff lam > 0 and prod lam_i^p_i >
+R = k^q prod a_i^p_i: one integer sign test, shared by membership, the
+interior margin and `ideals`' least members; no float enters a verdict.
 
 `homogenized_value` is the monomial-valuation weight of the attached
 torus-invariant psh function along w (the limit of g(tw)/t), and
@@ -22,12 +25,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, lcm, log
+from math import exp, lcm, log, prod
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .lp import ZERO, InputError, frac, fvec
-from .newton import (BOUNDARY, EXTERIOR, INTERIOR, PointClassification,
-                     Vector, build, classify, dot, vector)
+from .newton import (BOUNDARY, EXTERIOR, INTERIOR, NewtonPolyhedron,
+                     PointClassification, Vector, _scaled, build, classify,
+                     dot, vector)
 
 _LOG_FLOAT_MIN = log(sys.float_info.min)  # least positive normal float
 _LOG_FLOAT_MAX = log(sys.float_info.max)
@@ -163,6 +167,32 @@ def evaluate(g: ConcaveToricFunction, x: Sequence):
     return exp(log_value)
 
 
+def body_polyhedron(g: ConcaveToricFunction) -> Optional[NewtonPolyhedron]:
+    """The Newton polyhedron of g's body when it is polyhedral: the slopes'
+    for a minimum of linear forms, the orthant's for a power product of
+    exponent sum below 1 (its homogenization is 0); else None."""
+    if isinstance(g, PiecewiseLinearMin):
+        return build([s for s, _ in g.pieces])
+    if sum(g.exponents, ZERO) < 1:
+        return build([(ZERO,) * g.dimension])
+    return None
+
+
+def _power_criterion(g: PowerProduct) -> Tuple[List[int], Fraction]:
+    """(p, R) for exponent sum 1: with a_i = p_i/q, lam >= 0 lies in the
+    closed body iff prod lam_i^p_i >= R = k^q prod a_i^p_i."""
+    q, ps = _power_data(g)
+    return ps, g.scale ** q * prod(a ** p for a, p in zip(g.exponents, ps))
+
+
+def _power_sign(ps: Sequence[int], R: Fraction, xs: Sequence[int],
+                den: int) -> int:
+    """Sign of prod (xs_i/den)^p_i - R for sum p_i = q, on integers."""
+    lhs = R.denominator * prod(x ** p for x, p in zip(xs, ps))
+    rhs = R.numerator * den ** sum(ps)
+    return (lhs > rhs) - (lhs < rhs)
+
+
 def homogenized_value(g: ConcaveToricFunction, w: Sequence):
     """lim g(tw)/t -- the Kiselman number of the attached weight along w."""
     wv = vector(w)
@@ -172,48 +202,28 @@ def homogenized_value(g: ConcaveToricFunction, w: Sequence):
         raise InputError("the direction w must be non-zero")
     if any(v < 0 for v in wv):
         raise InputError("the direction w must be componentwise >= 0")
-    if isinstance(g, PiecewiseLinearMin):
-        return min(dot(s, wv) for s, _ in g.pieces)
-    if sum(g.exponents, ZERO) < 1:
-        return Fraction(0)
-    return evaluate(g, wv)
+    P = body_polyhedron(g)
+    if P is None:
+        return evaluate(g, wv)
+    return min(dot(s, wv) for s in P.generators)
 
 
-def _body_margin_power(g: PowerProduct, lam: Vector) -> Fraction:
-    """Certified dyadic lower bound for the interior margin of lam > 0.
-
-    The exact margin solves a polynomial equation and is irrational in
-    general; the bisection bound still satisfies lam - margin*1 in the
-    closed body.
-    """
-    support = [i for i, a in enumerate(g.exponents) if a > 0]
-    if not support:
-        return min(lam)
-    if sum(g.exponents, ZERO) < 1:
-        return min(lam[i] for i in support) / 2
-    lo = ZERO
-    hi = min(lam[i] for i in support)
-    for _ in range(40):
-        # mid < hi keeps lam - mid positive on the support
-        mid = (lo + hi) / 2
-        if _power_ratio_sign(g, tuple(v - mid for v in lam)) >= 0:
+def _body_margin_power(ps: Sequence[int], R: Fraction, xs: Sequence[int],
+                       den: int) -> Fraction:
+    """Certified dyadic lower bound for the interior margin of lam = xs/den
+    (exponent sum 1), which is irrational in general: the largest m*h/2^40
+    with lam - (m*h/2^40)*1 in the closed body, h = min xs/den over the
+    support and m < 2^40 (keeping the support positive), by bisection."""
+    h = min(x for x, p in zip(xs, ps) if p)
+    lo, hi = 0, 1 << 40
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _power_sign(ps, R, [(x << 40) - mid * h for x in xs],
+                       den << 40) >= 0:
             lo = mid
         else:
             hi = mid
-    return lo
-
-
-def _power_ratio_sign(g: PowerProduct, lam: Vector) -> int:
-    """Sign of prod_{a_i>0} (lam_i/a_i)^{a_i} - k, decided exactly."""
-    q, ps = _power_data(g)
-    lhs = Fraction(1)
-    for li, ai, p in zip(lam, g.exponents, ps):
-        if p:
-            if li == 0:
-                return -1
-            lhs *= (li / ai) ** p
-    rhs = g.scale ** q
-    return (lhs > rhs) - (lhs < rhs)
+    return Fraction(lo * h, den << 40)
 
 
 def _power_separating_direction(g: PowerProduct, lam: Vector) -> Vector:
@@ -248,30 +258,23 @@ def classify_in_body(g: ConcaveToricFunction,
         raise InputError("dimension mismatch")
     if any(v < 0 for v in lv):
         raise InputError("the point must be componentwise >= 0")
-    if isinstance(g, PiecewiseLinearMin):
-        P = build([s for s, _ in g.pieces])
+    P = body_polyhedron(g)
+    if P is not None:
         return classify(P, lv, Fraction(1))
-
-    def unit(j: int) -> Vector:
-        return tuple(Fraction(1) if i == j else ZERO
-                     for i in range(g.dimension))
-
-    if sum(g.exponents, ZERO) < 1:
-        for i, a in enumerate(g.exponents):
-            if a > 0 and lv[i] == 0:
-                return PointClassification(EXTERIOR, witness=unit(i))
-    else:
-        sign = _power_ratio_sign(g, lv)
-        if sign <= 0:
-            verdict = BOUNDARY if sign == 0 else EXTERIOR
-            return PointClassification(
-                verdict, witness=_power_separating_direction(g, lv))
-    # lam is interior to the body in the coordinates g depends on; a zero
-    # coordinate off the support still puts it on the orthant's boundary
-    for j, a in enumerate(g.exponents):
-        if a == 0 and lv[j] == 0:
-            return PointClassification(BOUNDARY, witness=unit(j))
-    return PointClassification(INTERIOR, margin=_body_margin_power(g, lv))
+    ps, R = _power_criterion(g)
+    den = lcm(*(v.denominator for v in lv))
+    xs = _scaled(lv, den)
+    sign = _power_sign(ps, R, xs, den)
+    if sign <= 0:
+        return PointClassification(BOUNDARY if sign == 0 else EXTERIOR,
+                                   witness=_power_separating_direction(g, lv))
+    # lam is interior in the coordinates g depends on; the orthant bounds
+    # the rest, and caps the margin at min lam
+    orthant = classify(build([(ZERO,) * g.dimension]), lv, Fraction(1))
+    if orthant.verdict != INTERIOR:
+        return orthant
+    return PointClassification(INTERIOR, margin=min(
+        orthant.margin, _body_margin_power(ps, R, xs, den)))
 
 
 def exp_integrable(g: ConcaveToricFunction) -> bool:
@@ -297,14 +300,13 @@ def certificate_slack(g: ConcaveToricFunction, beta: Sequence,
     """
     bv = vector(beta, g.dimension)
     bound = dot(w, bv) + sum(w, ZERO)
-    if isinstance(g, PiecewiseLinearMin):
-        ghat = homogenized_value(g, w)
-        return (ghat > bound) - (ghat < bound)
-    if sum(g.exponents, ZERO) < 1:
-        return (0 > bound) - (0 < bound) if bound != 0 else 0
-    vq, q = _power_value_pow_q(g, w)
-    rq = bound ** q
-    return (vq > rq) - (vq < rq)
+    P = body_polyhedron(g)
+    if P is not None:
+        ghat = min(dot(s, w) for s in P.generators)
+    else:  # compared as q-th powers
+        ghat, q = _power_value_pow_q(g, w)
+        bound **= q
+    return (ghat > bound) - (ghat < bound)
 
 
 def valuative_membership(g: ConcaveToricFunction,

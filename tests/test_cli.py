@@ -117,6 +117,13 @@ def test_valuation_json():
     assert doc["certificates"]["witness"] == ["1/2", "1/3"]
 
 
+def test_valuation_power_margin_stays_in_orthant():
+    # lam = (10, 1): the margin delta*max(lam) must not exceed min(lam)
+    code, out, _ = invoke("valuation", "--toric", "power(1; 1, 0)",
+                          "--beta", "9,0")
+    assert code == 0 and out == "member (margin 1/10)\n"
+
+
 def test_oracle_strict_exit_code():
     code, out, _ = invoke("oracle", "--op", "radial", "--k", "5/2",
                           "--beta", "2")
@@ -303,9 +310,9 @@ RATIONALS = (("1", "5/6", "3/2", "7/2", "1/3"),
              ("0", "-1", "1/0", "abc", "1e400", "100000"))
 TORIC = {1: ("min(4*x)", "min(2*x, x + 1)", "power(1; 1/2)"),
          2: ("min(2*x, 3*y)", "min(2*x + y, x + 3*y, 1/2)",
-             "power(2; 1/2, 1/2)", "power(1; 1, 0)"),
+             "power(2; 1/2, 1/2)", "power(1; 1, 0)", "power(1; 1/3, 1/3)"),
          3: ("min(x, y, z)", "min(3*x, 2*y + z, 4*z)",
-             "power(1; 1/3, 1/3, 1/3)")}
+             "power(1; 1/3, 1/3, 1/3)", "power(2; 1/2, 0, 1/4)")}
 BAD_TORIC = ("min()", "max(x)", "power(0; 1)", "min(-x, y)")
 VECTORS = {1: ("1", "3", "1/2", "0"), 2: ("1,1", "2,3", "1/2,2", "0,0"),
            3: ("1,1,1", "2,1,3", "1/2,1,1")}

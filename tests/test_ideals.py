@@ -14,7 +14,8 @@ from nilcalc.ideals import (MonomialIdeal, _power_least, adj0_power_membership,
                             openness_margin, restrict_to_axis, shift_by_axis)
 from nilcalc import newton
 from nilcalc.lp import HypothesisError, InputError
-from nilcalc.toric import _power_ratio_sign, power_product, pwl_min
+from nilcalc.toric import power_product, pwl_min
+from power_body import power_ratio_sign
 
 
 def ideal(*gens, dim=None):
@@ -88,7 +89,7 @@ def test_power_caps_are_least_axis_members():
                          tuple(rng.randint(0, 5) for _ in range(n - 1))):
                 def member(b):
                     beta = rest[:i] + (b,) + rest[i:]
-                    return _power_ratio_sign(
+                    return power_ratio_sign(
                         g, tuple(F(v + 1) for v in beta)) > 0
                 least = _power_least(g, i)(rest)
                 if ps[i]:

@@ -9,6 +9,7 @@ from nilcalc.toric import (certificate_slack, classify_in_body, evaluate,
                            exp_integrable, exp_integrable_shifted,
                            homogenized_value, power_product, pwl_min,
                            valuative_membership)
+from power_body import certifies, classify_power, verdict
 
 G_23 = pwl_min([((2, 0), 0), ((0, 3), 0)])
 
@@ -70,8 +71,9 @@ def test_classify_in_body():
     k2 = power_product(2, (F(1, 2), F(1, 2)))
     assert classify_in_body(k2, (1, 1)).verdict == BOUNDARY
     assert classify_in_body(k2, (2, 2)).verdict == INTERIOR
+    # exponent sum below 1: the body's closure is the closed orthant
     sub = power_product(1, (F(1, 3), F(1, 3)))
-    assert classify_in_body(sub, (1, 0)).verdict == EXTERIOR
+    assert classify_in_body(sub, (1, 0)).verdict == BOUNDARY
     assert classify_in_body(sub, (1, 1)).verdict == INTERIOR
 
 
@@ -102,6 +104,62 @@ def test_power_product_matches_its_linear_form():
         linear = classify_in_body(pwl_min([(tuple(k * v for v in e), 0)]),
                                   lam)
         assert power.verdict == linear.verdict, (k, i, lam)
+
+
+def test_interior_margin_stays_in_orthant():
+    # the margin is capped at min lam, off the support too
+    cls = classify_in_body(power_product(1, (1, 0)), (10, F(1, 2)))
+    assert cls.verdict == INTERIOR and cls.margin == F(1, 2)
+    cls = classify_in_body(power_product(1, (F(1, 3), F(1, 3))), (2, 1))
+    assert cls.verdict == INTERIOR and cls.margin == 1
+
+
+def test_power_bodies_match_the_fraction_reference():
+    # answers equal the Fraction reference's except in four classes, and
+    # every margin and witness certifies against it
+    rng = random.Random(25)
+    same, changed = 0, {}
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        q = rng.choice((1, 2, 3, 4, 6))
+        ps = [rng.choice((0, rng.randint(0, q))) for _ in range(n)]
+        while sum(ps) > q:
+            ps[rng.randrange(n)] = 0
+        if rng.random() < 0.6 and sum(ps) < q:
+            ps[rng.randrange(n)] += q - sum(ps)  # exponent sum 1
+        g = power_product(F(rng.randint(1, 8), rng.randint(1, 3)),
+                          tuple(F(p, q) for p in ps))
+        if rng.random() < 0.3:  # on the boundary where a sum 1 allows it
+            lam = tuple(g.scale * a for a in g.exponents)
+        else:
+            lam = tuple(F(rng.randint(1, 12), rng.randint(1, 3))
+                        for _ in range(n))
+        lam = tuple(F(0) if rng.random() < 0.2 else v for v in lam)
+        old, new = classify_power(g, lam), classify_in_body(g, lam)
+        assert new.verdict == verdict(g, lam) and certifies(g, lam, new), \
+            (g, lam, new)
+        if new == old:
+            same += 1
+            continue
+        support = [v for v, a in zip(lam, g.exponents) if a]
+        if sum(g.exponents) < 1 and old.verdict == EXTERIOR:
+            kind = "zero on the support"
+            assert new.verdict == BOUNDARY and 0 in support
+        elif sum(g.exponents) < 1 and old.verdict == INTERIOR:
+            kind = "min lam below exponent sum 1"
+            assert old.margin == min(support) / 2
+            assert new.margin == min(lam)
+        elif old.verdict == INTERIOR:
+            kind = "capped at min lam"
+            assert old.margin > min(lam) and new.margin == min(lam)
+        else:
+            kind = "zero off the support"
+            assert old.verdict == new.verdict == BOUNDARY
+            j = new.witness.index(1)
+            assert lam[j] == 0 and g.exponents[j] == 0
+            assert old.witness != new.witness
+        changed[kind] = changed.get(kind, 0) + 1
+    assert len(changed) == 4 and same > 1500, (same, changed)
 
 
 def test_interior_margin_stays_in_body():
