@@ -39,6 +39,38 @@ def _csv_rationals(text: str) -> List[Fraction]:
     return [parsing.parse_rational(part) for part in text.split(",")]
 
 
+# argparse settings of every option; a subcommand's row in _COMMANDS
+# names its options in order, a (name, help) pair where the help differs
+_OPTIONS = {
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--input": dict(metavar="FILE",
+                    help="JSON problem file; explicit flags win"),
+    "--vars": dict(help="comma-separated variable names"),
+    "--ideal": dict(help='e.g. "x^2, y^3"; 1 = unit, 0 = zero ideal'),
+    "--toric": dict(help='e.g. "min(2*x, 3*y)" or "power(2; 1/2, 1/2)"'),
+    "--c": dict(help="rational scale, e.g. 5/6"),
+    "--axis": dict(help="variable name of the hyperplane"),
+    "--schedule": dict(help="comma-separated truncation boxes"),
+    # parsed by _oracle_config, as are the same problem-file fields
+    "--seed": dict(default=0, help="Monte Carlo seed"),
+    "--points": dict(help="quadrature points per axis"),
+    "--samples": dict(help="Monte Carlo samples"),
+    "--strict": dict(action="store_true",
+                     help="exit 4 when the verdict is Inconclusive"),
+    "--k": dict(help="rational factor k > 0"),
+    "--alpha": dict(help="comma-separated positive rationals"),
+    "--beta": dict(help="comma-separated natural exponents"),
+    "--cmax": dict(help="upper bound for the jump search"),
+    "--op": dict(choices=("orthant", "weighted", "polydisk", "radial"),
+                 default="orthant"),
+    "--shift": dict(help="comma-separated rational vector A"),
+    "--eps": dict(help="rational eps >= 0 (weighted op)"),
+    "--weight": dict(choices=(oracle.PLAIN, oracle.POINCARE_AXIS_1),
+                     default=oracle.PLAIN),
+}
+_SHARED = ("--format", "--input", "--vars")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nil",
@@ -47,64 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"nil {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, ideal=False, toric_fn=False, c=False, axis=False,
-               oracle_cfg=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--input", metavar="FILE",
-                       help="JSON problem file; explicit flags win")
-        p.add_argument("--vars", help="comma-separated variable names")
-        if ideal:
-            p.add_argument("--ideal", help='e.g. "x^2, y^3"; 1 = unit, '
-                                           "0 = zero ideal")
-        if toric_fn:
-            p.add_argument("--toric", help='e.g. "min(2*x, 3*y)" or '
-                                           '"power(2; 1/2, 1/2)"')
-        if c:
-            p.add_argument("--c", help="rational scale, e.g. 5/6")
-        if axis:
-            p.add_argument("--axis", help="variable name of the hyperplane")
-        if oracle_cfg:
-            p.add_argument("--schedule",
-                           help="comma-separated truncation boxes")
-            # parsed by _oracle_config, as are the same problem-file fields
-            p.add_argument("--seed", default=0, help="Monte Carlo seed")
-            p.add_argument("--points", help="quadrature points per axis")
-            p.add_argument("--samples", help="Monte Carlo samples")
-            p.add_argument("--strict", action="store_true",
-                           help="exit 4 when the verdict is Inconclusive")
-        return p
-
-    common(sub.add_parser("mult", help="multiplier ideal"),
-           ideal=True, toric_fn=True, c=True)
-    common(sub.add_parser("adj", help="adjoint ideal along a hyperplane"),
-           ideal=True, c=True, axis=True)
-    p = common(sub.add_parser("adj0", help="zero-adjoint membership for "
-                                           "the power weight"))
-    p.add_argument("--k", help="rational factor k > 0")
-    p.add_argument("--alpha", help="comma-separated positive rationals")
-    p.add_argument("--beta", help="comma-separated natural exponents")
-    common(sub.add_parser("lct", help="log canonical threshold"), ideal=True)
-    p = common(sub.add_parser("jump", help="jumping numbers"), ideal=True)
-    p.add_argument("--cmax", help="upper bound for the jump search")
-    p = common(sub.add_parser("openness", help="certified openness margin"),
-               ideal=True, c=True)
-    p = common(sub.add_parser("valuation", help="valuative membership test"),
-               toric_fn=True)
-    p.add_argument("--beta", help="comma-separated natural exponents")
-    common(sub.add_parser("check-adjunction",
-                          help="exactness of the adjunction sequence"),
-           ideal=True, c=True, axis=True)
-    p = common(sub.add_parser("oracle", help="numerical convergence oracle"),
-               toric_fn=True, oracle_cfg=True)
-    p.add_argument("--op", choices=("orthant", "weighted", "polydisk",
-                                    "radial"), default="orthant")
-    p.add_argument("--shift", help="comma-separated rational vector A")
-    p.add_argument("--eps", help="rational eps >= 0 (weighted op)")
-    p.add_argument("--beta", help="comma-separated natural exponents")
-    p.add_argument("--weight", choices=(oracle.PLAIN, oracle.POINCARE_AXIS_1),
-                   default=oracle.PLAIN)
-    p.add_argument("--k", help="rational k (radial op)")
+    for command, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for option in _SHARED + options:
+            if isinstance(option, str):
+                p.add_argument(option, **_OPTIONS[option])
+            else:  # (name, help) where this subcommand's help differs
+                name, own_help = option
+                p.add_argument(name, **dict(_OPTIONS[name], help=own_help))
     return parser
 
 
@@ -138,7 +120,7 @@ def _merge_input_file(args: argparse.Namespace) -> None:
 
 
 def _variables(args) -> Optional[List[str]]:
-    if getattr(args, "vars", None):
+    if args.vars:
         return [v.strip() for v in str(args.vars).split(",")]
     return None
 
@@ -174,8 +156,19 @@ def _oracle_config(args) -> oracle.OracleConfig:
 
 
 def _ideal_arg(args):
-    names = _variables(args)
-    return parsing.parse_ideal(_require(args, "ideal"), names)
+    """(ideal, names, inputs), inputs the JSON record of both."""
+    ideal, names = parsing.parse_ideal(_require(args, "ideal"),
+                                       _variables(args))
+    return ideal, names, {"ideal": parsing.format_ideal(ideal, names),
+                          "variables": names}
+
+
+def _scale_arg(args) -> Fraction:
+    return parsing.parse_rational(args.c) if args.c else Fraction(1)
+
+
+def _monomials(ideal, names) -> List[str]:
+    return [parsing.format_monomial(g, names) for g in ideal.generators]
 
 
 def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
@@ -192,145 +185,119 @@ def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
             print(line, file=stream)
 
 
-def _cmd_mult(args, stream) -> int:
-    if getattr(args, "toric", None):
+# each handler returns (payload, text_lines) for _emit; `stream` is the
+# output stream, read only to decide styling
+
+def _cmd_mult(args, stream):
+    if args.toric:
         g, names = parsing.parse_toric(args.toric, _variables(args))
-        if getattr(args, "c", None) not in (None, "1"):
+        if args.c not in (None, "1"):
             raise InputError("--c applies to monomial ideals only; scale "
                              "the toric function instead")
         result = ideals.multiplier_ideal_toric(g)
         inputs = {"toric": args.toric, "variables": names}
     else:
-        ideal, names = _ideal_arg(args)
-        c = parsing.parse_rational(args.c) if args.c else Fraction(1)
+        ideal, names, inputs = _ideal_arg(args)
+        c = _scale_arg(args)
         result = ideals.multiplier_ideal(ideal, c)
-        inputs = {"ideal": parsing.format_ideal(ideal, names),
-                  "c": _rat(c), "variables": names}
-    shown = parsing.format_ideal(result, names)
-    _emit(args, stream,
-          {"inputs": inputs,
-           "result": {"generators": [parsing.format_monomial(g, names)
-                                     for g in result.generators]}},
-          [f"{_styled('generators:', stream)} {shown}"])
-    return 0
+        inputs["c"] = _rat(c)
+    return ({"inputs": inputs,
+             "result": {"generators": _monomials(result, names)}},
+            [f"{_styled('generators:', stream)} "
+             f"{parsing.format_ideal(result, names)}"])
 
 
-def _cmd_adj(args, stream) -> int:
-    ideal, names = _ideal_arg(args)
-    c = parsing.parse_rational(args.c) if args.c else Fraction(1)
+def _cmd_adj(args, stream):
+    ideal, names, inputs = _ideal_arg(args)
+    c = _scale_arg(args)
     axis = _axis_index(names, _require(args, "axis"))
     result = ideals.adjoint_ideal(ideal, c, axis)
-    shown = parsing.format_ideal(result, names)
-    _emit(args, stream,
-          {"inputs": {"ideal": parsing.format_ideal(ideal, names),
-                      "c": _rat(c), "axis": names[axis],
-                      "variables": names},
-           "result": {"generators": [parsing.format_monomial(g, names)
-                                     for g in result.generators]}},
-          [f"{_styled('generators:', stream)} {shown}"])
-    return 0
+    inputs.update({"c": _rat(c), "axis": names[axis]})
+    return ({"inputs": inputs,
+             "result": {"generators": _monomials(result, names)}},
+            [f"{_styled('generators:', stream)} "
+             f"{parsing.format_ideal(result, names)}"])
 
 
-def _cmd_adj0(args, stream) -> int:
+def _cmd_adj0(args, stream):
     k = parsing.parse_rational(_require(args, "k"))
     alpha = _csv_rationals(_require(args, "alpha"))
     beta = _csv_rationals(_require(args, "beta"))
     member = ideals.adj0_power_membership(k, alpha, beta)
-    _emit(args, stream,
-          {"inputs": {"k": _rat(k), "alpha": [_rat(a) for a in alpha],
-                      "beta": [_rat(b) for b in beta]},
-           "result": {"member": member}},
-          ["member" if member else "not a member"])
-    return 0
+    return ({"inputs": {"k": _rat(k), "alpha": [_rat(a) for a in alpha],
+                        "beta": [_rat(b) for b in beta]},
+             "result": {"member": member}},
+            ["member" if member else "not a member"])
 
 
-def _cmd_lct(args, stream) -> int:
-    ideal, names = _ideal_arg(args)
+def _cmd_lct(args, stream):
+    ideal, _, inputs = _ideal_arg(args)
     value = ideals.lct(ideal)
-    _emit(args, stream,
-          {"inputs": {"ideal": parsing.format_ideal(ideal, names),
-                      "variables": names},
-           "result": {"lct": _rat(value)}},
-          [_rat(value)])
-    return 0
+    return {"inputs": inputs, "result": {"lct": _rat(value)}}, [_rat(value)]
 
 
-def _cmd_jump(args, stream) -> int:
-    ideal, names = _ideal_arg(args)
+def _cmd_jump(args, stream):
+    ideal, _, inputs = _ideal_arg(args)
     c_max = parsing.parse_rational(_require(args, "cmax"))
     jumps = ideals.jumping_numbers(ideal, c_max)
-    _emit(args, stream,
-          {"inputs": {"ideal": parsing.format_ideal(ideal, names),
-                      "c_max": _rat(c_max), "variables": names},
-           "result": {"jumping_numbers": [_rat(j) for j in jumps]}},
-          [", ".join(_rat(j) for j in jumps) if jumps else "none"])
-    return 0
+    inputs["c_max"] = _rat(c_max)
+    return ({"inputs": inputs,
+             "result": {"jumping_numbers": [_rat(j) for j in jumps]}},
+            [", ".join(_rat(j) for j in jumps) if jumps else "none"])
 
 
-def _cmd_openness(args, stream) -> int:
-    ideal, names = _ideal_arg(args)
-    c = parsing.parse_rational(args.c) if args.c else Fraction(1)
+def _cmd_openness(args, stream):
+    ideal, _, inputs = _ideal_arg(args)
+    c = _scale_arg(args)
     eps = ideals.openness_margin(ideal, c)
-    _emit(args, stream,
-          {"inputs": {"ideal": parsing.format_ideal(ideal, names),
-                      "c": _rat(c), "variables": names},
-           "result": {"epsilon": _rat(eps)}},
-          [_rat(eps)])
-    return 0
+    inputs["c"] = _rat(c)
+    return {"inputs": inputs, "result": {"epsilon": _rat(eps)}}, [_rat(eps)]
 
 
-def _cmd_valuation(args, stream) -> int:
+def _cmd_valuation(args, stream):
     g, names = parsing.parse_toric(_require(args, "toric"), _variables(args))
     beta = _csv_rationals(_require(args, "beta"))
     report = toric.valuative_membership(g, beta)
-    certificates = {}
     if report.member:
-        certificates["margin"] = _rat(report.margin)
+        certificates = {"margin": _rat(report.margin)}
         text = [f"member (margin {_rat(report.margin)})"]
     else:
-        certificates["witness"] = [_rat(w) for w in report.certificate]
+        certificates = {"witness": [_rat(w) for w in report.certificate]}
         text = ["not a member (witness w = "
                 + ", ".join(_rat(w) for w in report.certificate) + ")"]
-    _emit(args, stream,
-          {"inputs": {"toric": args.toric,
-                      "beta": [_rat(b) for b in beta], "variables": names},
-           "result": {"member": report.member},
-           "certificates": certificates},
-          text)
-    return 0
+    return ({"inputs": {"toric": args.toric,
+                        "beta": [_rat(b) for b in beta], "variables": names},
+             "result": {"member": report.member},
+             "certificates": certificates},
+            text)
 
 
-def _cmd_check_adjunction(args, stream) -> int:
-    ideal, names = _ideal_arg(args)
-    c = parsing.parse_rational(args.c) if args.c else Fraction(1)
+def _cmd_check_adjunction(args, stream):
+    ideal, names, inputs = _ideal_arg(args)
+    c = _scale_arg(args)
     axis = _axis_index(names, _require(args, "axis"))
     report = ideals.adjunction_report(ideal, c, axis)
     rest_names = [v for i, v in enumerate(names) if i != axis]
+    inputs.update({"c": _rat(c), "axis": names[axis]})
     fmt = parsing.format_ideal
-    _emit(args, stream,
-          {"inputs": {"ideal": fmt(ideal, names), "c": _rat(c),
-                      "axis": names[axis], "variables": names},
-           "result": {
-               "adj": [parsing.format_monomial(g, names)
-                       for g in report.adjoint.generators],
-               "multiplier": [parsing.format_monomial(g, names)
-                              for g in report.multiplier.generators],
-               "restricted_multiplier": [
-                   parsing.format_monomial(g, rest_names)
-                   for g in report.restricted_multiplier.generators],
-               "kernel_exact": report.kernel_exact,
-               "restriction_exact": report.restriction_exact}},
-          [f"adj: {fmt(report.adjoint, names)}",
-           f"multiplier: {fmt(report.multiplier, names)}",
-           f"kernel: {fmt(report.kernel, names)}",
-           f"restricted multiplier: "
-           f"{fmt(report.restricted_multiplier, rest_names)}",
-           f"kernel_exact: {str(report.kernel_exact).lower()}",
-           f"restriction_exact: {str(report.restriction_exact).lower()}"])
-    return 0
+    return ({"inputs": inputs,
+             "result": {
+                 "adj": _monomials(report.adjoint, names),
+                 "multiplier": _monomials(report.multiplier, names),
+                 "restricted_multiplier": _monomials(
+                     report.restricted_multiplier, rest_names),
+                 "kernel_exact": report.kernel_exact,
+                 "restriction_exact": report.restriction_exact}},
+            [f"adj: {fmt(report.adjoint, names)}",
+             f"multiplier: {fmt(report.multiplier, names)}",
+             f"kernel: {fmt(report.kernel, names)}",
+             f"restricted multiplier: "
+             f"{fmt(report.restricted_multiplier, rest_names)}",
+             f"kernel_exact: {str(report.kernel_exact).lower()}",
+             f"restriction_exact: {str(report.restriction_exact).lower()}"])
 
 
-def _cmd_oracle(args, stream) -> int:
+def _cmd_oracle(args, stream):
     cfg = _oracle_config(args)
     inputs = {"op": args.op}
     if args.op == "radial":
@@ -338,9 +305,7 @@ def _cmd_oracle(args, stream) -> int:
         beta = _csv_rationals(_require(args, "beta"))
         if len(beta) != 1:
             raise InputError("the radial oracle is one-dimensional")
-        if beta[0] < 0 or beta[0].denominator != 1:
-            raise InputError("--beta must be a natural number")
-        verdict = oracle.radial_power_integral(k, int(beta[0]), cfg)
+        verdict = oracle.radial_power_integral(k, beta[0], cfg)
         inputs.update({"k": _rat(k), "beta": [_rat(beta[0])]})
     else:
         g, names = parsing.parse_toric(_require(args, "toric"),
@@ -365,34 +330,40 @@ def _cmd_oracle(args, stream) -> int:
 
     def finite(v):  # strict JSON has no inf or NaN; null stands for them
         return v if math.isfinite(v) else None
-    _emit(args, stream,
-          {"inputs": inputs,
-           "result": {"verdict": verdict.verdict,
-                      "partial_values": [[t, finite(v)] for t, v
-                                         in verdict.partial_values]},
-           "certificates": {"ratios": [
-               finite(r) for r in verdict.evidence.get("ratios", ())],
-               "rule": verdict.evidence.get("rule")}},
-          [f"{_styled('verdict:', stream)} {verdict.verdict}"] + partials)
-    if args.strict and verdict.verdict == oracle.INCONCLUSIVE:
-        return 4
-    return 0
+    return ({"inputs": inputs,
+             "result": {"verdict": verdict.verdict,
+                        "partial_values": [[t, finite(v)] for t, v
+                                           in verdict.partial_values]},
+             "certificates": {"ratios": [
+                 finite(r) for r in verdict.evidence.get("ratios", ())],
+                 "rule": verdict.evidence.get("rule")}},
+            [f"{_styled('verdict:', stream)} {verdict.verdict}"] + partials)
 
 
-_DISPATCH = {
-    "mult": _cmd_mult,
-    "adj": _cmd_adj,
-    "adj0": _cmd_adj0,
-    "lct": _cmd_lct,
-    "jump": _cmd_jump,
-    "openness": _cmd_openness,
-    "valuation": _cmd_valuation,
-    "check-adjunction": _cmd_check_adjunction,
-    "oracle": _cmd_oracle,
+# subcommand: (help, options after _SHARED in --help order, handler)
+_COMMANDS = {
+    "mult": ("multiplier ideal", ("--ideal", "--toric", "--c"), _cmd_mult),
+    "adj": ("adjoint ideal along a hyperplane", ("--ideal", "--c", "--axis"),
+            _cmd_adj),
+    "adj0": ("zero-adjoint membership for the power weight",
+             ("--k", "--alpha", "--beta"), _cmd_adj0),
+    "lct": ("log canonical threshold", ("--ideal",), _cmd_lct),
+    "jump": ("jumping numbers", ("--ideal", "--cmax"), _cmd_jump),
+    "openness": ("certified openness margin", ("--ideal", "--c"),
+                 _cmd_openness),
+    "valuation": ("valuative membership test", ("--toric", "--beta"),
+                  _cmd_valuation),
+    "check-adjunction": ("exactness of the adjunction sequence",
+                         ("--ideal", "--c", "--axis"), _cmd_check_adjunction),
+    "oracle": ("numerical convergence oracle",
+               ("--toric", "--schedule", "--seed", "--points", "--samples",
+                "--strict", "--op", "--shift", "--eps", "--beta", "--weight",
+                ("--k", "rational k (radial op)")), _cmd_oracle),
 }
 
 
 def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
+    """Parse argv, answer on stdout, and return the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
@@ -404,13 +375,18 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         return 2 if exc.code else 0
     try:
         _merge_input_file(args)
-        return _DISPATCH[args.command](args, stdout)
+        payload, text_lines = _COMMANDS[args.command][2](args, stdout)
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=stderr)
         return 3
     except InputError as exc:
         print(f"error: {exc}", file=stderr)
         return 2
+    _emit(args, stdout, payload, text_lines)
+    if getattr(args, "strict", False) \
+            and payload["result"].get("verdict") == oracle.INCONCLUSIVE:
+        return 4
+    return 0
 
 
 def main() -> None:

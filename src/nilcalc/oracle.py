@@ -491,7 +491,7 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
     return _judge(cfg.truncation_schedule, increments)
 
 
-def radial_power_integral(k, beta: int,
+def radial_power_integral(k, beta,
                           cfg: OracleConfig = OracleConfig()
                           ) -> ConvergenceVerdict:
     """One-variable membership integral for the weight k * t.
@@ -500,8 +500,10 @@ def radial_power_integral(k, beta: int,
     (0, 1/2] becomes the integral of e^{(2k - 2 beta - 2) t} over
     [log 2, inf), so x^beta is a member exactly when beta + 1 > k.
     """
-    kf = float(Fraction(k))
-    rate = 2.0 * kf - 2.0 * float(beta) - 2.0
+    kf, bf = frac(k), frac(beta)
+    if bf < 0 or bf.denominator != 1:
+        raise InputError("beta must be a natural number")
+    rate = 2.0 * float(kf) - 2.0 * float(bf) - 2.0
     lo = float(np.log(2.0))
     increments = []
     prev = lo

@@ -234,14 +234,14 @@ def _power_separating_direction(g: PowerProduct, lam: Vector) -> Vector:
         return tuple(a / li if a > 0 else Fraction(0)
                      for li, a in zip(lam, g.exponents))
     # lam vanishes on the support: push mass along that axis until the
-    # homogeneous value exactly beats <w, lam>.
+    # homogeneous value strictly exceeds <w, lam>, as exact q-th powers.
     i = zero_support[0]
     m = 1
     while True:
         w = tuple(Fraction(1) + (Fraction(m) if j == i else ZERO)
                   for j in range(g.dimension))
         ghat_q, q = _power_value_pow_q(g, w)
-        if ghat_q >= dot(w, lam) ** q:
+        if ghat_q > dot(w, lam) ** q:
             return w
         m *= 2
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nilcalc
 from nilcalc.cli import run
 
 
@@ -224,6 +228,36 @@ def test_input_file(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read problem file: "),
+    ("{", "problem file is not valid JSON: "),
+    ("[]", "problem file must be a JSON object\n"),
+    ('{"foo": 1}', "unknown problem-file field 'foo'\n"),
+    # a field another subcommand declares is unknown to this one
+    ('{"axis": "x"}', "unknown problem-file field 'axis'\n")])
+def test_input_file_errors(tmp_path, content, message):
+    path = tmp_path / "problem.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = invoke("lct", "--ideal", "x^2, y^3", "--input",
+                            str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message), err
+
+
+def test_input_file_list_field(tmp_path):
+    # a list joins with commas, so "variables" reads as --vars y,x
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"ideal": "x^2, y^3", "variables": ["y", "x"],
+                                "c": "5/6"}))
+    code, out, _ = invoke("mult", "--input", str(path), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"] == {"ideal": "y^3, x^2", "c": "5/6",
+                             "variables": ["y", "x"]}
+    assert doc["result"]["generators"] == ["y", "x"]
+
+
 def test_json_schema_on_oracle():
     code, out, _ = invoke("oracle", "--op", "orthant", "--toric",
                           "min(2*x, 3*y)", "--shift", "2,1",
@@ -233,6 +267,28 @@ def test_json_schema_on_oracle():
     assert doc["result"]["verdict"] == "Converges"
     assert doc["version"]
     assert doc["inputs"]["A"] == ["2", "1"]
+
+
+@pytest.mark.parametrize("toric,shift", [("min(2*x, 3*y)", "2,4"),
+                                         ("power(1; 1/2, 1/2)", "2,2")])
+def test_oracle_weighted(toric, shift):
+    # (1 + eps) g scales the slopes, or the factor of the power product
+    code, out, _ = invoke("oracle", "--op", "weighted", "--toric", toric,
+                          "--shift", shift, "--eps", "1/10", "--points",
+                          "128", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["verdict"] == "Converges"
+    assert doc["inputs"]["A"] == shift.split(",")
+    assert doc["inputs"]["eps"] == "1/10"
+
+
+def test_oracle_weighted_schedule_must_exceed_one():
+    code, out, err = invoke("oracle", "--op", "weighted", "--toric",
+                            "min(2*x, 3*y)", "--shift", "2,4",
+                            "--schedule", "1,2,4")
+    assert code == 2 and out == ""
+    assert "must exceed 1" in err
 
 
 RADIAL = ("oracle", "--op", "radial", "--k", "5/2", "--beta")
@@ -297,6 +353,19 @@ def test_threads_and_seed_flags():
     assert code == 2
     code, out, _ = invoke(*RADIAL, "2", "--seed", "7")
     assert code == 0 and out.startswith("verdict: Converges")
+
+
+def test_main_exits_with_the_run_code():
+    # the `nil` console script calls main(), which exits with run's code
+    env = dict(os.environ, NIL_NO_COLOR="1", PYTHONPATH=os.path.dirname(
+        os.path.dirname(nilcalc.__file__)))
+    for ideal, code, out in (("x^2, y^3", 0, "5/6\n"), ("x^", 2, "")):
+        proc = subprocess.run(
+            [sys.executable, "-c", "from nilcalc.cli import main; main()",
+             "lct", "--ideal", ideal],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+        assert (proc.stderr == "") == (code == 0)
 
 
 # argv for the fuzz below: each subcommand with most of its options, the

@@ -135,6 +135,14 @@ def test_radial_power_integral():
     assert abs(v.partial_values[-1][1] - 0.5) < 1e-3
 
 
+def test_radial_power_integral_checks_its_inputs():
+    for k, beta in (("abc", 1), (1, -1), (1, F(1, 2)), (1, "x"), (1, 0.5)):
+        with pytest.raises(InputError):
+            radial_power_integral(k, beta, FAST)
+    # rationals come as ints, "p/q" strings or Fractions
+    assert radial_power_integral("5/2", F(2), FAST).verdict == CONVERGES
+
+
 def test_input_validation():
     with pytest.raises(InputError):
         orthant_exp_integral(G_23, (1,), FAST)

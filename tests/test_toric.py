@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -168,6 +169,29 @@ def test_interior_margin_stays_in_body():
     assert cls.verdict == INTERIOR and cls.margin > 0
     shifted = tuple(v - cls.margin for v in (F(3), F(2)))
     assert classify_in_body(k2, shifted).verdict != EXTERIOR
+
+
+def test_exterior_witness_separates_strictly():
+    # exponent sum 1 and lam = 0 on the support: the witness w has
+    # ghat(w) > <w, lam>, compared exactly as q-th powers; at (0, 3) the
+    # first w with ghat(w) >= <w, lam> is (9, 1), where both equal 3
+    cls = classify_in_body(power_product(1, (F(1, 2), F(1, 2))), (0, 3))
+    assert cls.verdict == EXTERIOR and cls.witness == (17, 1)
+    rng = random.Random(26)
+    for _ in range(500):
+        n, q = rng.randint(1, 3), rng.choice((1, 2, 3, 4))
+        ps = [0] * n
+        for _ in range(q):
+            ps[rng.randrange(n)] += 1
+        g = power_product(rng.randint(1, 4), tuple(F(p, q) for p in ps))
+        lam = [F(rng.randint(0, 9)) for _ in range(n)]
+        lam[rng.choice([i for i in range(n) if ps[i]])] = F(0)
+        cls = classify_in_body(g, lam)
+        w = cls.witness
+        ghat_q = g.scale ** q * prod(wi ** p for wi, p in zip(w, ps))
+        assert cls.verdict == EXTERIOR, (g, lam)
+        assert ghat_q > sum(wi * li for wi, li in zip(w, lam)) ** q, \
+            (g, lam, w)
 
 
 def test_exp_integrable():
