@@ -40,7 +40,9 @@ def _csv_rationals(text: str) -> List[Fraction]:
 
 
 # argparse settings of every option; a subcommand's row in _COMMANDS
-# names its options in order, a (name, help) pair where the help differs
+# names its options in order, a (name, help) pair where the help differs.
+# A `default` is not handed to argparse, so that an option left off the
+# command line reads None until _merge_input_file fills it
 _OPTIONS = {
     "--format": dict(choices=("text", "json"), default="text"),
     "--input": dict(metavar="FILE",
@@ -82,17 +84,29 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for option in _SHARED + options:
-            if isinstance(option, str):
-                p.add_argument(option, **_OPTIONS[option])
-            else:  # (name, help) where this subcommand's help differs
-                name, own_help = option
-                p.add_argument(name, **dict(_OPTIONS[name], help=own_help))
+            # (name, help) where this subcommand's help differs
+            name, own_help = (option, None) if isinstance(option, str) \
+                else option
+            settings = dict(_OPTIONS[name])
+            settings.pop("default", None)
+            if own_help:
+                settings["help"] = own_help
+            p.add_argument(name, **settings)
     return parser
 
 
 def _merge_input_file(args: argparse.Namespace) -> None:
-    if not args.input:
-        return
+    """Fill each option left off the command line from the problem file
+    of --input, if any, and then from its `_OPTIONS` default."""
+    if args.input:
+        _read_input_file(args)
+    for name, settings in _OPTIONS.items():
+        dest = name[2:]
+        if hasattr(args, dest) and getattr(args, dest) is None:
+            setattr(args, dest, settings.get("default"))
+
+
+def _read_input_file(args: argparse.Namespace) -> None:
     try:
         with open(args.input) as fh:
             data = json.load(fh)
@@ -116,6 +130,10 @@ def _merge_input_file(args: argparse.Namespace) -> None:
                 value = ", ".join(str(v) for v in value)
             elif not isinstance(value, bool):
                 value = str(value)
+            choices = _OPTIONS[f"--{dest}"].get("choices")
+            if choices and value not in choices:
+                raise InputError(f"problem-file field {key!r} must be one "
+                                 f"of {', '.join(choices)}")
             setattr(args, dest, value)
 
 

@@ -1,10 +1,15 @@
 """Monomial ideals and the polyhedral ideal calculus.
 
 Monomial ideals are stored as Dickson-minimal antichains of natural
-exponent vectors (empty antichain = zero ideal, the single zero vector
-= unit ideal).  Multiplier ideals, adjoint ideals, log canonical
-thresholds, jumping numbers and the adjunction report are all computed
-exactly from the facets <w, x> >= b of the Newton polyhedron P:
+exponent vectors, tuples of ints (`newton.Exponents`; empty antichain =
+zero ideal, the single zero vector = unit ideal).  By Howald's theorem
+every generator returned is such a vector, and no Fraction is built for
+one; an ideal built from Fraction tuples of the same values compares
+and hashes equal, and its operations give the same answers.
+
+Multiplier ideals, adjoint ideals, log canonical thresholds, jumping
+numbers and the adjunction report are all computed exactly from the
+facets <w, x> >= b of the Newton polyhedron P:
 
 * z^beta lies in the multiplier ideal at scale c iff beta + (1,...,1)
   is interior to c*P: min <w, beta + 1>/b > c over the facets,
@@ -45,7 +50,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .lp import ZERO, HypothesisError, InputError, frac
-from .newton import (NewtonPolyhedron, Vector, _least_facet_ratio,
+from .newton import (Exponents, NewtonPolyhedron, _least_facet_ratio,
                      axis_complement_ones, critical_scale, dominates,
                      minimal_antichain, ones, vector)
 from .toric import (ConcaveToricFunction, PowerProduct, _floor_root,
@@ -65,7 +70,8 @@ SCAN_LIMIT = 10 ** 6
 @dataclass(frozen=True)
 class MonomialIdeal:
     dimension: int
-    generators: Tuple[Vector, ...]  # lexicographically sorted antichain
+    # a descending lexicographically sorted antichain of int tuples
+    generators: Tuple[Exponents, ...]
 
     @property
     def is_zero(self) -> bool:
@@ -88,12 +94,13 @@ class AdjunctionReport:
     restriction_exact: bool
 
 
-def _natural_vector(coords: Sequence, dimension: Optional[int]) -> Vector:
+def _natural_vector(coords: Sequence,
+                    dimension: Optional[int]) -> Exponents:
     v = vector(coords, dimension)
     for c in v:
         if c < 0 or c.denominator != 1:
             raise InputError("exponents must be natural numbers")
-    return v
+    return tuple(c.numerator for c in v)
 
 
 def minimalize(exponents: Iterable[Sequence],
@@ -125,12 +132,11 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 
 def _enumerate_minimal(dimension: int, caps: Sequence[int],
-                       least_last) -> Tuple[Vector, ...]:
+                       least_last) -> Tuple[Exponents, ...]:
     """The minimal members of the box prod [0, caps_i] of an upward
-    closed set of int tuples, as Fraction vectors in descending
-    lexicographic order; `least_last(prefix)` is the least last
-    coordinate of a member with the first n-1 coordinates `prefix`, or
-    None if no member has them.
+    closed set of int tuples, in descending lexicographic order;
+    `least_last(prefix)` is the least last coordinate of a member with
+    the first n-1 coordinates `prefix`, or None if no member has them.
 
     Walks the staircase: for each prefix, in lexicographic order, the
     point with the least member last coordinate is minimal iff it lies
@@ -163,7 +169,7 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
         if last < above:
             found.append(prefix + (last,))
     found.sort(reverse=True)
-    return tuple(tuple(Fraction(b) for b in beta) for beta in found)
+    return tuple(found)
 
 
 def _facet_least_last(P: NewtonPolyhedron, c: Fraction,
@@ -306,7 +312,8 @@ def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
     """An eps > 0 with J(ideal^((1+eps)c)) = J(ideal^c), exactly checked.
 
     eps is half the least margin v/(b*c) - 1 of a generator beta of
-    J(ideal^c), (v, b) its least facet ratio <w, beta + 1>/b.
+    J(ideal^c), (v, b) its least facet ratio <w, beta + 1>/b: the least
+    ratio v/b over the generators, found by cross-multiplication.
     """
     c = _scale(ideal, c, "openness margin")
     if ideal.is_unit:
@@ -314,15 +321,15 @@ def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
     P = newton_polyhedron(ideal)
     shift = (1,) * ideal.dimension
     current = _facet_ideal(P, c, shift)
-    p, q = c.numerator, c.denominator
-    eps = None
+    least = None
     for beta in current.generators:
         # a non-unit ideal's P has a facet
-        v, b = _least_facet_ratio(P.facets,
-                                  [x.numerator + 1 for x in beta])
-        margin = Fraction(q * v - p * b, p * b)
-        eps = margin if eps is None else min(eps, margin)
-    eps = Fraction(1) if eps is None else eps / 2
+        v, b = _least_facet_ratio(P.facets, [x + 1 for x in beta])
+        if least is None or v * least[1] < least[0] * b:
+            least = (v, b)
+    # J(ideal^c) is not zero, so it has a generator
+    (v, b), p, q = least, c.numerator, c.denominator
+    eps = Fraction(q * v - p * b, 2 * p * b)
     if _facet_ideal(P, (1 + eps) * c, shift) != current:  # pragma: no cover
         raise AssertionError("openness margin failed to certify")
     return eps
@@ -365,34 +372,46 @@ def adj0_power_membership(k, alpha: Sequence, beta: Sequence) -> bool:
     return total == threshold and bv[0] > 0
 
 
+# The three maps below take an antichain to one by a pass (and a sort)
+# over its generators, not by a quadratic `minimal_antichain`.
+
 def restrict_to_axis(ideal: MonomialIdeal, axis: int) -> MonomialIdeal:
-    """Restriction to {z_axis = 0}: keep generators vanishing nowhere on it."""
+    """Restriction to {z_axis = 0}: keep generators vanishing nowhere on it,
+    dropping their zero axis coordinate, which keeps their order."""
     if ideal.dimension < 2:
         raise InputError("restriction needs dimension >= 2")
     if not 0 <= axis < ideal.dimension:
         raise InputError("axis index out of range")
-    kept = [tuple(v for i, v in enumerate(g) if i != axis)
-            for g in ideal.generators if g[axis] == 0]
-    return MonomialIdeal(ideal.dimension - 1, minimal_antichain(kept))
+    kept = tuple(g[:axis] + g[axis + 1:]
+                 for g in ideal.generators if g[axis] == 0)
+    return MonomialIdeal(ideal.dimension - 1, kept)
 
 
 def shift_by_axis(ideal: MonomialIdeal, axis: int) -> MonomialIdeal:
-    """Multiply by z_axis: increment the axis exponent of every generator."""
+    """Multiply by z_axis: increment the axis exponent of every generator,
+    which keeps their order."""
     if not 0 <= axis < ideal.dimension:
         raise InputError("axis index out of range")
-    gens = [tuple(v + 1 if i == axis else v for i, v in enumerate(g))
-            for g in ideal.generators]
-    return MonomialIdeal(ideal.dimension, minimal_antichain(gens))
+    gens = tuple(g[:axis] + (g[axis] + 1,) + g[axis + 1:]
+                 for g in ideal.generators)
+    return MonomialIdeal(ideal.dimension, gens)
 
 
 def intersect_axis_multiples(ideal: MonomialIdeal,
                              axis: int) -> MonomialIdeal:
-    """The intersection with (z_axis), as an antichain."""
+    """The intersection with (z_axis): the generators g with g_axis > 0,
+    and g + e_axis for those with g_axis = 0 unless a generator h with
+    h_axis = 1 lies below it (it lies below no generator, or g would)."""
     if not 0 <= axis < ideal.dimension:
         raise InputError("axis index out of range")
-    gens = [tuple(max(v, Fraction(1)) if i == axis else v
-                  for i, v in enumerate(g)) for g in ideal.generators]
-    return MonomialIdeal(ideal.dimension, minimal_antichain(gens))
+
+    def rest(g):
+        return g[:axis] + g[axis + 1:]
+    ones = [rest(h) for h in ideal.generators if h[axis] == 1]
+    gens = [g if g[axis] else g[:axis] + (1,) + g[axis + 1:]
+            for g in ideal.generators
+            if g[axis] or not any(dominates(rest(g), h) for h in ones)]
+    return MonomialIdeal(ideal.dimension, tuple(sorted(gens, reverse=True)))
 
 
 def adjunction_report(ideal: MonomialIdeal, c, axis: int) -> AdjunctionReport:

@@ -2,14 +2,16 @@
 
 The polyhedron is given by a canonical antichain of generating points
 whose convex hull, fattened by the positive orthant, is the represented
-set.  Its facets (the H-representation) are enumerated once per object,
-on first use, by exact integer double description, and critical scales
-are read off them with one integer dot product per facet, the ratios
-<w, x>/b compared by cross-multiplication.  `classify` reads the dilate
-cP = {y : <w, y> >= c*b for each facet, y >= 0} off the same facets: the
-largest eps with x - eps*1 in cP is the least slack (<w, x> - c*b)/|w|_1
-over the facets and the rows y_i >= 0, and the row that attains it
-supports or separates x.
+set: a monomial ideal's exponent vectors, int tuples that are their own
+integer rows, or `build`'s Fraction points, scaled to integers over a
+common denominator.  Its facets (the H-representation) are enumerated
+once per object, on first use, by exact integer double description, and
+critical scales are read off them with one integer dot product per
+facet, the ratios <w, x>/b compared by cross-multiplication.
+`classify` reads the dilate cP = {y : <w, y> >= c*b for each facet,
+y >= 0} off the same facets: the largest eps with x - eps*1 in cP is the
+least slack (<w, x> - c*b)/|w|_1 over the facets and the rows y_i >= 0,
+and the row that attains it supports or separates x.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, inf, lcm
 from operator import ge, mul
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .lp import ZERO, InputError, frac, fvec
 # not called here; perfbench's tracer resolves this binding in `newton`
@@ -30,6 +33,8 @@ BOUNDARY = "boundary"
 EXTERIOR = "exterior"
 
 Vector = Tuple[Fraction, ...]
+# a natural exponent vector, the monomial z^beta of a monomial ideal
+Exponents = Tuple[int, ...]
 
 
 def vector(coords: Sequence, dimension: Optional[int] = None) -> Vector:
@@ -60,7 +65,8 @@ def dominates(a: Vector, b: Vector) -> bool:
 @dataclass(frozen=True)
 class NewtonPolyhedron:
     dimension: int
-    generators: Tuple[Vector, ...]
+    # an ideal's exponent vectors, or `build`'s Fraction points
+    generators: Tuple[Union[Exponents, Vector], ...]
 
     @cached_property
     def facets(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
@@ -69,7 +75,7 @@ class NewtonPolyhedron:
         return _facets(self.generators, self.dimension)
 
     @cached_property
-    def maxima(self) -> Vector:
+    def maxima(self) -> Union[Exponents, Vector]:
         """The largest coordinate of a generator along each axis."""
         return tuple(map(max, zip(*self.generators)))
 
@@ -83,22 +89,30 @@ class PointClassification:
     witness: Optional[Vector] = None
 
 
-def minimal_antichain(points: Sequence[Vector]) -> Tuple[Vector, ...]:
+def minimal_antichain(points: Sequence) -> tuple:
     """Deduplicate and keep only the componentwise-minimal points.
 
     Sorted in descending lexicographic order, so pure powers of the
     first variable print first (x^2, x*y, y^3).
     """
-    # compared as integer vectors over a common denominator; a point can
-    # only dominate points after it in ascending lexicographic order, and
-    # one dominating a dropped point dominates the point that dropped it
-    uniq = set(points)
-    den = lcm(*(v.denominator for p in uniq for v in p))
+    # compared as integer vectors (see `_integer_rows`); a point can only
+    # dominate points after it in ascending lexicographic order, and one
+    # dominating a dropped point dominates the point that dropped it
+    uniq = list(set(points))
     keep = []
-    for key, p in sorted((_scaled(p, den), p) for p in uniq):
+    for key, p in sorted(zip(_integer_rows(uniq)[0], uniq)):
         if not any(all(map(ge, key, k)) for k, _ in keep):
             keep.append((key, p))
     return tuple(p for _, p in reversed(keep))
+
+
+def _integer_rows(points: Sequence) -> Tuple[List[Tuple[int, ...]], int]:
+    """(rows, den): the points as integer vectors den*p, for the least
+    common denominator den; int points are their own rows, over 1."""
+    if set(map(type, chain.from_iterable(points))) <= {int}:
+        return list(points), 1
+    den = lcm(*(v.denominator for p in points for v in p))
+    return [_scaled(p, den) for p in points], den
 
 
 def _scaled(x: Vector, den: int) -> Tuple[int, ...]:
@@ -190,17 +204,17 @@ def _least_facet_ratio(facets, xs: Sequence[int]
     return best
 
 
-def _facets(generators: Sequence[Vector], n: int):
+def _facets(generators: Sequence, n: int):
     """Double description (Fukuda & Prodon 1996) of the cone of valid
     inequalities {(w, t) : w >= 0, <w, g> + t >= 0 for every g} of the
-    generators scaled to integers; its extreme rays with t < 0 are the
-    facets <w, x> >= -t that are not coordinate hyperplanes.
+    generators scaled to integers by `_integer_rows`; its extreme rays
+    with t < 0 are the facets <w, x> >= -t that are not coordinate
+    hyperplanes.
 
     Constraint i < n is w_i >= 0 and constraint n + j is generator j;
     each ray carries the bit set of the constraints tight on it.
     """
-    scale = lcm(*(v.denominator for g in generators for v in g))
-    rows = [_scaled(g, scale) for g in generators]
+    rows, scale = _integer_rows(generators)
     # w >= 0 and the first generator cut out a simplicial cone whose
     # rays are the columns of the inverse constraint matrix
     axes = (1 << n) - 1  # the constraints w_i >= 0

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .lp import InputError
 from .ideals import MonomialIdeal, minimalize
-from .newton import Vector
+from .newton import Exponents
 from .toric import ConcaveToricFunction, power_product, pwl_min
 
 
@@ -159,14 +159,14 @@ def _parse_monomial_exponents(tokens: _Tokens, names: _Names) -> dict:
 
 
 def parse_monomial(text: str, variables: Optional[Sequence[str]] = None
-                   ) -> Tuple[Vector, List[str]]:
+                   ) -> Tuple[Exponents, List[str]]:
     """A single monomial as an exponent vector plus the variable list."""
     tokens = _Tokens(text)
     names = _Names(variables)
     exps = _parse_monomial_exponents(tokens, names)
     tokens.done()
     n = len(names.names)
-    return tuple(Fraction(exps.get(i, 0)) for i in range(n)), names.names
+    return tuple(exps.get(i, 0) for i in range(n)), names.names
 
 
 def parse_ideal(text: str, variables: Optional[Sequence[str]] = None
@@ -191,7 +191,7 @@ def parse_ideal(text: str, variables: Optional[Sequence[str]] = None
     if n == 0:
         raise InputError("the unit ideal needs explicit variable names "
                          "to fix the dimension")
-    vecs = [tuple(Fraction(e.get(i, 0)) for i in range(n)) for e in raw]
+    vecs = [tuple(e.get(i, 0) for i in range(n)) for e in raw]
     return minimalize(vecs, n), names.names
 
 

@@ -234,7 +234,9 @@ def test_input_file(tmp_path):
     ("[]", "problem file must be a JSON object\n"),
     ('{"foo": 1}', "unknown problem-file field 'foo'\n"),
     # a field another subcommand declares is unknown to this one
-    ('{"axis": "x"}', "unknown problem-file field 'axis'\n")])
+    ('{"axis": "x"}', "unknown problem-file field 'axis'\n"),
+    ('{"format": "xml"}',
+     "problem-file field 'format' must be one of text, json\n")])
 def test_input_file_errors(tmp_path, content, message):
     path = tmp_path / "problem.json"
     if content is not None:
@@ -256,6 +258,46 @@ def test_input_file_list_field(tmp_path):
     assert doc["inputs"] == {"ideal": "y^3, x^2", "c": "5/6",
                              "variables": ["y", "x"]}
     assert doc["result"]["generators"] == ["y", "x"]
+
+
+POLYDISK = ("--toric", "min(2*x, 3*y)", "--beta", "0,1", "--samples", "2000")
+
+
+def invoke_file(tmp_path, command, spec, *argv):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec))
+    return invoke(command, "--input", str(path), *argv)
+
+
+@pytest.mark.parametrize("command,spec,flags", [
+    # fields whose options have a default: op, format, seed
+    ("oracle", {"op": "radial", "k": "5/2", "beta": 2},
+     ("--op", "radial", "--k", "5/2", "--beta", "2")),
+    ("lct", {"ideal": "x^2, y^3", "format": "json"},
+     ("--ideal", "x^2, y^3", "--format", "json")),
+    ("oracle", {"toric": "min(2*x, 3*y)", "beta": "0,1", "op": "polydisk",
+                "samples": 2000},
+     ("--op", "polydisk") + POLYDISK),
+    ("oracle", {"toric": "min(2*x, 3*y)", "beta": "0,1", "op": "polydisk",
+                "samples": 2000, "seed": 5},
+     ("--op", "polydisk", "--seed", "5") + POLYDISK)])
+def test_input_file_fields_with_defaults(tmp_path, command, spec, flags):
+    code, out, err = invoke_file(tmp_path, command, spec)
+    assert (code, out, err) == invoke(command, *flags)
+    assert code == 0
+
+
+def test_input_file_explicit_flags_win(tmp_path):
+    spec = {"toric": "min(2*x, 3*y)", "beta": "0,1", "op": "radial",
+            "samples": 2000, "seed": 5, "format": "json"}
+    code, out, err = invoke_file(tmp_path, "oracle", spec, "--op", "polydisk",
+                                 "--seed", "0", "--format", "text")
+    assert (code, out, err) == invoke("oracle", "--op", "polydisk",
+                                      *POLYDISK)
+    assert out.startswith("verdict: ")
+    # the file's seed would have changed the answer
+    assert out != invoke("oracle", "--op", "polydisk", "--seed", "5",
+                         *POLYDISK)[1]
 
 
 def test_json_schema_on_oracle():

@@ -168,6 +168,37 @@ def test_intersect_axis_multiples():
     assert gens_set(intersect_axis_multiples(ideal((0, 0)), 0)) == {(1, 0)}
 
 
+def test_axis_maps_match_minimal_antichain():
+    # the reference maps each generator and keeps the minimal ones
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        I = ideal(*(tuple(rng.randint(0, 3) for _ in range(n))
+                    for _ in range(rng.randint(1, 8))), dim=n)
+        for axis in range(n):
+            def ref(gens, dim=n):
+                return MonomialIdeal(dim, newton.minimal_antichain(gens))
+            e = tuple(int(i == axis) for i in range(n))
+            assert restrict_to_axis(I, axis) == ref(
+                [g[:axis] + g[axis + 1:] for g in I.generators
+                 if g[axis] == 0], n - 1)
+            assert shift_by_axis(I, axis) == ref(
+                [tuple(map(sum, zip(g, e))) for g in I.generators])
+            assert intersect_axis_multiples(I, axis) == ref(
+                [tuple(map(max, zip(g, e))) for g in I.generators])
+
+
+def test_adjunction_report_of_many_generators():
+    # 5,001 generators per ideal: each axis map must be one pass, not a
+    # quadratic minimalization
+    I = ideal((5, 0), (0, 7), (2, 3))
+    start = time.perf_counter()
+    rep = adjunction_report(I, 1000, 0)
+    assert time.perf_counter() - start < 1
+    assert len(rep.adjoint.generators) == 5001
+    assert rep.kernel_exact and rep.restriction_exact
+
+
 def test_adjunction_report():
     rep = adjunction_report(A23, 1, 0)
     assert rep.kernel_exact and rep.restriction_exact
