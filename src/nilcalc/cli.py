@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence
 from . import __version__
 from .lp import HypothesisError, InputError
 from . import ideals, oracle, parsing, toric
+from .parsing import format_rational as _rat
 
 
 def _styled(text: str, stream) -> str:
@@ -29,10 +30,6 @@ def _styled(text: str, stream) -> str:
                                                      lambda: False)():
         return text
     return f"\x1b[1m{text}\x1b[0m"
-
-
-def _rat(value) -> str:
-    return parsing.format_rational(value)
 
 
 def _csv_rationals(text: str) -> List[Fraction]:
@@ -125,12 +122,23 @@ def _read_input_file(args: argparse.Namespace) -> None:
         dest = aliases.get(key, key)
         if not hasattr(args, dest):
             raise InputError(f"unknown problem-file field {key!r}")
+        settings = _OPTIONS[f"--{dest}"]
+        # a flag is a JSON boolean; any other field is a string, a number
+        # or a list of them (str() would turn null into the text "None")
+        flag = settings.get("action") == "store_true"
+        if flag and not isinstance(value, bool):
+            raise InputError(f"problem-file field {key!r} must be true or "
+                             "false")
+        items = value if isinstance(value, list) else [value]
+        if not flag and not all(type(v) in (str, int, float) for v in items):
+            raise InputError(f"problem-file field {key!r} must be a string, "
+                             "a number or a list of them")
         if getattr(args, dest) in (None, False):
             if isinstance(value, list):
                 value = ", ".join(str(v) for v in value)
-            elif not isinstance(value, bool):
+            elif not flag:
                 value = str(value)
-            choices = _OPTIONS[f"--{dest}"].get("choices")
+            choices = settings.get("choices")
             if choices and value not in choices:
                 raise InputError(f"problem-file field {key!r} must be one "
                                  f"of {', '.join(choices)}")
@@ -209,7 +217,7 @@ def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
 def _cmd_mult(args, stream):
     if args.toric:
         g, names = parsing.parse_toric(args.toric, _variables(args))
-        if args.c not in (None, "1"):
+        if _scale_arg(args) != 1:
             raise InputError("--c applies to monomial ideals only; scale "
                              "the toric function instead")
         result = ideals.multiplier_ideal_toric(g)

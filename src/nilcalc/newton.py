@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, inf, lcm
 from operator import ge, mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .lp import ZERO, InputError, frac, fvec
 # not called here; perfbench's tracer resolves this binding in `newton`
@@ -106,18 +106,23 @@ def minimal_antichain(points: Sequence) -> tuple:
     return tuple(p for _, p in reversed(keep))
 
 
+def integers(values: Iterable, den: Optional[int] = None
+             ) -> Tuple[Tuple[int, ...], int]:
+    """(ints, den): the rationals as integers den*v, for den their least
+    common denominator or, if given, a multiple of it."""
+    values = tuple(values)
+    if den is None:
+        den = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
+
+
 def _integer_rows(points: Sequence) -> Tuple[List[Tuple[int, ...]], int]:
     """(rows, den): the points as integer vectors den*p, for the least
     common denominator den; int points are their own rows, over 1."""
     if set(map(type, chain.from_iterable(points))) <= {int}:
         return list(points), 1
-    den = lcm(*(v.denominator for p in points for v in p))
-    return [_scaled(p, den) for p in points], den
-
-
-def _scaled(x: Vector, den: int) -> Tuple[int, ...]:
-    """den*x as integers, for a multiple den of x's denominators."""
-    return tuple(v.numerator * (den // v.denominator) for v in x)
+    den = integers(chain.from_iterable(points))[1]
+    return [integers(p, den)[0] for p in points], den
 
 
 def build(points: Sequence[Sequence]) -> NewtonPolyhedron:
@@ -152,9 +157,8 @@ def classify(P: NewtonPolyhedron, x: Sequence, c) -> PointClassification:
     xv = vector(x, P.dimension)
     n = P.dimension
     # on integers: den*x and den*c for a common denominator den
-    den = lcm(c.denominator, *(v.denominator for v in xv))
-    xs = _scaled(xv, den)
-    cs = c.numerator * (den // c.denominator)
+    ints, den = integers(xv + (c,))
+    xs, cs = ints[:-1], ints[-1]
     units = tuple((tuple(int(i == j) for j in range(n)), 0) for i in range(n))
     gap, w, b = min((Fraction(sum(map(mul, w, xs)) - cs * b, sum(w)), w, b)
                     for w, b in P.facets + units)
@@ -170,24 +174,16 @@ def critical_scale(P: NewtonPolyhedron, x: Sequence):
 
     Requires x strictly positive (the interior equivalence fails on
     coordinate hyperplanes, where membership tests use the facets
-    directly).  This is min <w, x>/b over the facets, found on integers
-    (see `_facet_minimum`); math.inf for the unit ideal, which has none.
+    directly).  This is min <w, x>/b over the facets: with x = xs/den
+    for an integer vector xs, v/(b*den) for the pair (v, b) that
+    `_least_facet_ratio` picks; math.inf for the unit ideal, which has
+    no facets.
     """
     xv = vector(x, P.dimension)
     if any(v <= 0 for v in xv):
         raise InputError("critical_scale needs a strictly positive point")
-    return _facet_minimum(P, xv)
-
-
-def _facet_minimum(P: NewtonPolyhedron, x: Vector):
-    """min <w, x>/b over the facets, for an unchecked x >= 0 (on a
-    coordinate hyperplane, see the adjoint criterion in `ideals`).
-
-    With x = xs/den for an integer vector xs, this is v/(b*den) for the
-    pair (v, b) = (<w, xs>, b) that `_least_facet_ratio` picks.
-    """
-    den = lcm(*(v.denominator for v in x))
-    least = _least_facet_ratio(P.facets, _scaled(x, den))
+    xs, den = integers(xv)
+    least = _least_facet_ratio(P.facets, xs)
     return inf if least is None else Fraction(least[0], least[1] * den)
 
 

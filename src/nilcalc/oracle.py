@@ -147,21 +147,10 @@ def _shell_boxes(lows: Sequence[float], prev: float, cur: float
     n = len(lows)
     if prev is None:
         return [[(lows[i], cur) for i in range(n)]]
-    boxes = []
-    for mask in range(1, 1 << n):
-        box = []
-        ok = True
-        for i in range(n):
-            if mask >> i & 1:
-                if prev <= lows[i]:
-                    ok = False
-                    break
-                box.append((prev, cur))
-            else:
-                box.append((lows[i], min(prev, cur)))
-        if ok:
-            boxes.append(box)
-    return boxes
+    # the schedule starts above every low and increases, so
+    # low_i < prev < cur: one box per non-empty set of axes beyond prev
+    return [[(prev, cur) if mask >> i & 1 else (lows[i], prev)
+             for i in range(n)] for mask in range(1, 1 << n)]
 
 
 def _axis_grid(a: float, b: float, m: int,
@@ -343,15 +332,6 @@ def _envelope_box(g: PiecewiseLinearMin, A: Tuple[float, ...],
     return total
 
 
-def _quadrature_box(g: ConcaveToricFunction, A: Tuple[float, ...],
-                    box: Sequence[Tuple[float, float]], m: int,
-                    weight_axis0: bool) -> float:
-    """Integral of e^{2(g - <A, x>)} (optionally / x_1^2) over the box."""
-    if isinstance(g, PiecewiseLinearMin):
-        return _envelope_box(g, A, box, m, weight_axis0)
-    return _grid_box(g, A, box, m, weight_axis0)
-
-
 def _validate_shift(g: ConcaveToricFunction, A: Sequence) -> Tuple[float, ...]:
     Av = fvec(A)
     if len(Av) != g.dimension:
@@ -373,9 +353,11 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
                         weight_axis0: bool) -> ConvergenceVerdict:
     """Verdict read off the quadrature of each shell of the schedule."""
     m = cfg.quadrature_points_per_axis
+    box_integral = (_envelope_box if isinstance(g, PiecewiseLinearMin)
+                    else _grid_box)
     # a shell beyond float range adds inf, which reads as growth
     with np.errstate(over="ignore"):
-        increments = [sum(_quadrature_box(g, A, box, m, weight_axis0)
+        increments = [sum(box_integral(g, A, box, m, weight_axis0)
                           for box in boxes)
                       for boxes in _shells(lows, cfg.truncation_schedule)]
     return _judge(cfg.truncation_schedule, increments)

@@ -25,13 +25,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, lcm, log, prod
-from typing import List, Optional, Sequence, Tuple, Union
+from math import exp, log, prod
+from typing import Optional, Sequence, Tuple, Union
 
 from .lp import ZERO, InputError, frac, fvec
 from .newton import (BOUNDARY, EXTERIOR, INTERIOR, NewtonPolyhedron,
-                     PointClassification, Vector, _scaled, build, classify,
-                     dot, vector)
+                     PointClassification, Vector, build, classify, dot,
+                     integers, vector)
 
 _LOG_FLOAT_MIN = log(sys.float_info.min)  # least positive normal float
 _LOG_FLOAT_MAX = log(sys.float_info.max)
@@ -112,33 +112,9 @@ def _floor_root(value: int, k: int) -> int:
         r = s
 
 
-def _iroot(value: int, k: int) -> Optional[int]:
-    """Exact integer k-th root, or None."""
-    if value < 0:
-        return None
-    r = _floor_root(value, k)
-    return r if r ** k == value else None
-
-
-def _rational_root(value: Fraction, k: int) -> Optional[Fraction]:
-    num = _iroot(value.numerator, k)
-    if num is None:
-        return None
-    den = _iroot(value.denominator, k)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _power_data(g: PowerProduct) -> Tuple[int, List[int]]:
-    """Common denominator q and integer numerators p_i of the exponents."""
-    q = lcm(*[a.denominator for a in g.exponents]) if g.exponents else 1
-    return q, [int(a * q) for a in g.exponents]
-
-
 def _power_value_pow_q(g: PowerProduct, x: Vector) -> Tuple[Fraction, int]:
     """(k * prod x^alpha) ** q as an exact rational, with q."""
-    q, ps = _power_data(g)
+    ps, q = integers(g.exponents)
     val = g.scale ** q
     for xi, p in zip(x, ps):
         if p:
@@ -148,18 +124,18 @@ def _power_value_pow_q(g: PowerProduct, x: Vector) -> Tuple[Fraction, int]:
 
 def evaluate(g: ConcaveToricFunction, x: Sequence):
     """g(x); exact rational when possible, else a float."""
-    if isinstance(g, PiecewiseLinearMin):
-        xv = vector(x, g.dimension)
-        return min(dot(s, xv) + off for s, off in g.pieces)
     xv = vector(x, g.dimension)
+    if isinstance(g, PiecewiseLinearMin):
+        return min(dot(s, xv) + off for s, off in g.pieces)
     if any(v < 0 for v in xv):
         raise InputError("evaluation point must be componentwise >= 0")
     if any(xi == 0 and a > 0 for xi, a in zip(xv, g.exponents)):
         return Fraction(0)
     vq, q = _power_value_pow_q(g, xv)
-    exact = _rational_root(vq, q)
-    if exact is not None:
-        return exact
+    root = Fraction(_floor_root(vq.numerator, q),
+                    _floor_root(vq.denominator, q))
+    if root ** q == vq:
+        return root
     # vq > 0 may not fit a float: take the q-th root in log space
     log_value = (log(vq.numerator) - log(vq.denominator)) / q
     if not _LOG_FLOAT_MIN <= log_value <= _LOG_FLOAT_MAX:
@@ -178,10 +154,10 @@ def body_polyhedron(g: ConcaveToricFunction) -> Optional[NewtonPolyhedron]:
     return None
 
 
-def _power_criterion(g: PowerProduct) -> Tuple[List[int], Fraction]:
+def _power_criterion(g: PowerProduct) -> Tuple[Tuple[int, ...], Fraction]:
     """(p, R) for exponent sum 1: with a_i = p_i/q, lam >= 0 lies in the
     closed body iff prod lam_i^p_i >= R = k^q prod a_i^p_i."""
-    q, ps = _power_data(g)
+    ps, q = integers(g.exponents)
     return ps, g.scale ** q * prod(a ** p for a, p in zip(g.exponents, ps))
 
 
@@ -262,8 +238,7 @@ def classify_in_body(g: ConcaveToricFunction,
     if P is not None:
         return classify(P, lv, Fraction(1))
     ps, R = _power_criterion(g)
-    den = lcm(*(v.denominator for v in lv))
-    xs = _scaled(lv, den)
+    xs, den = integers(lv)
     sign = _power_sign(ps, R, xs, den)
     if sign <= 0:
         return PointClassification(BOUNDARY if sign == 0 else EXTERIOR,

@@ -96,6 +96,25 @@ def test_long_last_axis_is_answered(argv, tail):
 def test_mult_toric():
     code, out, _ = invoke("mult", "--toric", "power(2; 1/2, 1/2)")
     assert code == 0 and out == "generators: x, y\n"
+    # --c is read as a rational, and any spelling of 1 is the toric scale
+    for c in ("1", "1/1", "2/2"):
+        assert invoke("mult", "--toric", "min(x, y)", "--c", c) == \
+            (0, "generators: 1\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mult", "--toric", "min(x, y)", "--c", "2"),
+     "--c applies to monomial ideals only"),
+    (("oracle", "--op", "radial", "--k", "1", "--beta", "1,2"),
+     "the radial oracle is one-dimensional"),
+    (("mult", "--toric", "power(1; 1/2, 1/2)", "--vars", "x,y,z"),
+     "variable list does not match the number of exponents"),
+    (("lct", "--ideal", "x^2", "--vars", "x,x"), "duplicate variable names"),
+])
+def test_input_errors(argv, message):
+    code, out, err = invoke(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message), err
 
 
 def test_mult_toric_power_beyond_two_to_the_twenty():
@@ -236,7 +255,14 @@ def test_input_file(tmp_path):
     # a field another subcommand declares is unknown to this one
     ('{"axis": "x"}', "unknown problem-file field 'axis'\n"),
     ('{"format": "xml"}',
-     "problem-file field 'format' must be one of text, json\n")])
+     "problem-file field 'format' must be one of text, json\n"),
+    # only a flag is a JSON boolean; null is no value of any field
+    ('{"ideal": true}', "problem-file field 'ideal' must be a string, a "
+     "number or a list of them\n"),
+    ('{"ideal": null}', "problem-file field 'ideal' must be a string, a "
+     "number or a list of them\n"),
+    ('{"variables": ["x", {}]}', "problem-file field 'variables' must be "
+     "a string, a number or a list of them\n")])
 def test_input_file_errors(tmp_path, content, message):
     path = tmp_path / "problem.json"
     if content is not None:
@@ -298,6 +324,20 @@ def test_input_file_explicit_flags_win(tmp_path):
     # the file's seed would have changed the answer
     assert out != invoke("oracle", "--op", "polydisk", "--seed", "5",
                          *POLYDISK)[1]
+
+
+@pytest.mark.parametrize("strict, code", [(True, 4), (False, 0),
+                                          ("false", 2)])
+def test_input_file_strict_is_a_boolean(tmp_path, strict, code):
+    spec = {"op": "radial", "k": "1/2", "beta": 0, "schedule": "1,2,3",
+            "strict": strict}
+    got, out, err = invoke_file(tmp_path, "oracle", spec)
+    assert got == code
+    if code == 2:
+        assert out == "" and err == ("error: problem-file field 'strict' "
+                                     "must be true or false\n")
+    else:
+        assert out.startswith("verdict: Inconclusive") and err == ""
 
 
 def test_json_schema_on_oracle():

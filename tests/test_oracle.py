@@ -47,6 +47,14 @@ def test_orthant_trivial_closed_form():
     assert abs(v.partial_values[-1][1] - 0.5) < 1e-3
 
 
+def test_orthant_vanishing_increments_converge():
+    # e^{-2000x} underflows beyond the first box: 0/0 reads as ratio 0
+    v = orthant_exp_integral(pwl_min([((0,), 0)]), (1000,))
+    assert v.verdict == CONVERGES
+    assert v.evidence["increments"][1:] == (0.0, 0.0, 0.0)
+    assert v.evidence["ratios"] == (0.0, 0.0, 0.0)
+
+
 def test_orthant_exact_agreement():
     assert orthant_exp_integral(G_23, (1, 1), FAST).verdict == DIVERGES
     assert orthant_exp_integral(G_23, (2, 1), FAST).verdict == CONVERGES

@@ -24,6 +24,7 @@ def test_parse_unit_and_zero():
     assert I.is_unit and names == ["x", "y"]
     I, _ = parse_ideal("0", ["x", "y", "z"])
     assert I.is_zero and I.dimension == 3
+    assert format_ideal(I, ["x", "y", "z"]) == "0"
     with pytest.raises(InputError):
         parse_ideal("0")
     with pytest.raises(InputError):
@@ -83,6 +84,9 @@ def test_parse_toric_power():
     assert isinstance(g, PowerProduct)
     assert g.scale == 2 and g.exponents == (F(1, 2), F(1, 2))
     assert names == ["x", "y"]
+    # past four variables, the default names are z1, z2, ...
+    _, names = parse_toric("power(1; 1/5, 1/5, 1/5, 1/5, 1/5)")
+    assert names == ["z1", "z2", "z3", "z4", "z5"]
     with pytest.raises(InputError):
         parse_toric("power(2; 2/3, 2/3)")
     with pytest.raises(ParseError):

@@ -9,12 +9,14 @@ import random
 from fractions import Fraction as F
 from math import ceil, inf, prod
 
+import pytest
 from axis_faces import in_relative_interior_of_axis_face, lp_classify
 from nilcalc.ideals import (_caps, _facet_least_last, adjoint_ideal,
                             box_audit, contains, jumping_numbers,
                             minimalize, multiplier_ideal, newton_polyhedron,
                             openness_margin, shift_by_axis)
-from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, _facet_minimum,
+from nilcalc.lp import InputError
+from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR,
                             axis_complement_ones, build, classify,
                             critical_scale, dominates, minimal_antichain,
                             ones)
@@ -147,14 +149,17 @@ def fraction_facet_minimum(P, x):
                 for w, b in P.facets), default=inf)
 
 
-def test_facet_minimum_agrees_with_fractions():
+def test_critical_scale_agrees_with_fractions():
     rng = random.Random(111)
     kinds = ["ideal", "slopes", "slopes", "unit"]
     for i in range(400):
         P = random_polyhedron(rng, kinds[i % len(kinds)])
-        x = tuple(F(rng.randint(0, 9), rng.randint(1, 4))
+        x = tuple(F(rng.randint(1, 9), rng.randint(1, 4))
                   for _ in range(P.dimension))
-        assert _facet_minimum(P, x) == fraction_facet_minimum(P, x)
+        assert critical_scale(P, x) == fraction_facet_minimum(P, x)
+        zero = rng.randrange(P.dimension)
+        with pytest.raises(InputError, match="strictly positive"):
+            critical_scale(P, x[:zero] + (F(0),) + x[zero + 1:])
 
 
 def test_facet_member_agrees_with_fractions():
