@@ -4,6 +4,8 @@ with checkable certificates and numerical convergence oracles."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .lp import HypothesisError, InputError  # noqa: F401
 from .newton import (NewtonPolyhedron, PointClassification,  # noqa: F401
                      build, classify, critical_scale)
@@ -17,9 +19,19 @@ from .ideals import (AdjunctionReport, MonomialIdeal,  # noqa: F401
                      intersect_axis_multiples, jumping_numbers, lct,
                      minimalize, multiplier_ideal, multiplier_ideal_toric,
                      openness_margin, restrict_to_axis, shift_by_axis)
-from .oracle import (ConvergenceVerdict, OracleConfig,  # noqa: F401
-                     adjoint_weighted_integral, orthant_exp_integral,
-                     polydisk_mc, radial_power_integral)
 from .parsing import (ParseError, format_ideal, format_monomial,  # noqa: F401
                       format_rational, parse_ideal, parse_monomial,
                       parse_rational, parse_toric)
+
+# the oracle, the one module that loads numpy, loads on first use
+_ORACLE_NAMES = ("ConvergenceVerdict", "OracleConfig",
+                 "adjoint_weighted_integral", "orthant_exp_integral",
+                 "polydisk_mc", "radial_power_integral")
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        # a `from . import oracle` here would call __getattr__ again
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

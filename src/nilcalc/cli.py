@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 
 from . import __version__
 from .lp import HypothesisError, InputError
-from . import ideals, oracle, parsing, toric
+from . import ideals, parsing, toric
 from .parsing import format_rational as _rat
 
 
@@ -64,8 +64,8 @@ _OPTIONS = {
                  default="orthant"),
     "--shift": dict(help="comma-separated rational vector A"),
     "--eps": dict(help="rational eps >= 0 (weighted op)"),
-    "--weight": dict(choices=(oracle.PLAIN, oracle.POINCARE_AXIS_1),
-                     default=oracle.PLAIN),
+    "--weight": dict(choices=(toric.PLAIN, toric.POINCARE_AXIS_1),
+                     default=toric.PLAIN),
 }
 _SHARED = ("--format", "--input", "--vars")
 
@@ -165,7 +165,8 @@ def _axis_index(names: Sequence[str], axis: str) -> int:
     return list(names).index(axis)
 
 
-def _oracle_config(args) -> oracle.OracleConfig:
+def _oracle_config(args) -> dict:
+    """The OracleConfig settings of the command line."""
     kwargs = {}
     try:
         kwargs["seed"] = int(args.seed)
@@ -178,7 +179,7 @@ def _oracle_config(args) -> oracle.OracleConfig:
             kwargs["mc_samples"] = int(args.samples)
     except ValueError as exc:
         raise InputError(f"bad oracle setting: {exc}")
-    return oracle.OracleConfig(**kwargs)
+    return kwargs
 
 
 def _ideal_arg(args):
@@ -324,7 +325,8 @@ def _cmd_check_adjunction(args, stream):
 
 
 def _cmd_oracle(args, stream):
-    cfg = _oracle_config(args)
+    from . import oracle  # the one module that loads numpy
+    cfg = oracle.OracleConfig(**_oracle_config(args))
     inputs = {"op": args.op}
     if args.op == "radial":
         k = parsing.parse_rational(_require(args, "k"))
@@ -410,7 +412,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         return 2
     _emit(args, stdout, payload, text_lines)
     if getattr(args, "strict", False) \
-            and payload["result"].get("verdict") == oracle.INCONCLUSIVE:
+            and payload["result"].get("verdict") == toric.INCONCLUSIVE:
         return 4
     return 0
 

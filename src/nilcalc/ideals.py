@@ -23,7 +23,8 @@ With c = p/q in lowest terms and the integer shift s = x - beta, both
 tests are q*<w, beta> > p*b - q*<w, s> for every facet: integer dot
 products against integer thresholds, computed once per enumeration.
 Jumping numbers, and the margins of `openness_margin`, are the least
-ratios <w, beta + 1>/b, compared by cross-multiplication.
+ratios <w, beta + 1>/b: jumps as integers over the common denominator of
+the b, margins compared by cross-multiplication.
 
 Generator enumerations walk the staircase of the ideal inside the box
 0 <= beta_i <= ceil(c * max g_i) on integer exponent vectors, the caps
@@ -32,6 +33,14 @@ other coordinates fixed, the least member last coordinate is a maximum
 of integer floors over the facets (an integer root for a power product).
 `box_audit` re-runs any enumeration with the caps pushed out and checks
 that the antichain is unchanged.
+
+The walk and the jump scan stop at the staircase.  In lexicographic
+order, the walk ends a coordinate's run at the first prefix whose least
+member is 0, and the scan at the first point whose least ratio exceeds
+c_max: by upward closure (the facet normals are >= 0) every later point
+of that run is at 0, or above c_max, too.  So their cost follows the
+region below the staircase, not the box; the unit ideal's walk ends at
+its first prefix.
 
 Each operation checks its arguments once and builds one P, on the
 ideal's generators as they stand (they are already a canonical
@@ -42,10 +51,9 @@ ideal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -59,11 +67,13 @@ from .toric import (ConcaveToricFunction, PowerProduct, _floor_root,
 from .newton import build  # noqa: F401
 from .toric import classify_in_body  # noqa: F401
 
-# most lattice points the jump scan visits, and most prefixes the
-# generator walk takes; on a 2-vCPU Xeon VM a scan point costs about 1 us
-# and a prefix 4-6 us (one closed-form least member and a generator built
-# per prefix included), so a box this size takes about 1 s to scan and
-# about 5 s to walk
+# most lattice points in the jump scan's box, and most prefixes in the
+# generator walk's; both visit only the region below the staircase, which
+# can be most of the box (for an ideal that is not m-primary, say).  On a
+# 2-vCPU Xeon VM a visited scan point costs 1-4 us (its jump's Fraction
+# included) and a prefix 1-4 us (one closed-form least member and a
+# generator built per prefix included); a whole box this size took 1.2 s
+# to scan (x^3*y^3*z^3 to c_max = 33) and 1.7 s to walk (x^999*y^999*z)
 SCAN_LIMIT = 10 ** 6
 
 
@@ -131,6 +141,43 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(ideal.dimension, ideal.generators)
 
 
+def _walk_box(ranges: Sequence[range], visit) -> None:
+    """Calls visit(point, rank) on the points of the box prod ranges in
+    lexicographic order, rank the place of the point in that order, for
+    a visit whose False points are upward closed: it skips only points
+    above one where visit returned False.
+
+    Once a coordinate's subtree (the points with that coordinate's value
+    and the coordinates before it fixed) gets False at its first point,
+    the rest of that coordinate is skipped, so the cost follows the
+    region below the False points, not the box.
+    """
+    if ranges:
+        strides = [prod(map(len, ranges[i + 1:])) for i in range(len(ranges))]
+        _walk_subtree(ranges, strides, visit, (), 0)
+    else:
+        visit((), 0)
+
+
+def _walk_subtree(ranges: Sequence[range], strides: Sequence[int], visit,
+                  prefix: Tuple[int, ...], k: int) -> bool:
+    """`_walk_box` on the points extending prefix, the first at rank k;
+    False iff visit returned False on the first.  (A module function, not
+    a recursive closure, whose reference cycle would hold the visit's
+    state until the next garbage collection.)"""
+    i = len(prefix)
+    if i < len(ranges) - 1:
+        for j, b in enumerate(ranges[i]):
+            if not _walk_subtree(ranges, strides, visit, prefix + (b,),
+                                 k + j * strides[i]):
+                return j > 0
+    else:
+        for j, b in enumerate(ranges[i]):
+            if not visit(prefix + (b,), k + j):
+                return j > 0
+    return True
+
+
 def _enumerate_minimal(dimension: int, caps: Sequence[int],
                        least_last) -> Tuple[Exponents, ...]:
     """The minimal members of the box prod [0, caps_i] of an upward
@@ -142,7 +189,9 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     point with the least member last coordinate is minimal iff it lies
     strictly below every predecessor prefix's (whose least values are
     upper bounds, by upward closure); a predecessor at 0 puts the prefix
-    at 0 with no call.  The prefixes are bounded by SCAN_LIMIT.
+    at 0 with no call.  A prefix at 0 ends its coordinate's run in
+    `_walk_box`, since every later prefix there is at 0 too.  The
+    prefixes are bounded by SCAN_LIMIT.
     """
     *head, top = caps
     prefixes = prod(c + 1 for c in head)
@@ -151,13 +200,14 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
                          f"than {SCAN_LIMIT}; lower c or the exponents")
     # least[k] is the least member last coordinate of the k-th prefix in
     # lexicographic order, or `none` if it has no member in the box; the
-    # predecessor lowering coordinate i is `strides[i]` places back
+    # predecessor lowering coordinate i is `strides[i]` places back, and
+    # a prefix the walk skips is at 0
     strides = [prod(c + 1 for c in head[i + 1:]) for i in range(len(head))]
     none = top + 1
-    least = []
+    least = [0] * prefixes
     found = []
-    for prefix in itertools.product(*(range(c + 1) for c in head)):
-        k = len(least)
+
+    def visit(prefix: Tuple[int, ...], k: int) -> bool:
         above = none
         for s, b in zip(strides, prefix):
             if b and least[k - s] < above:
@@ -165,9 +215,11 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
         last = least_last(prefix) if above else 0
         if last is None or last > top:
             last = none
-        least.append(last)
+        least[k] = last
         if last < above:
             found.append(prefix + (last,))
+        return last > 0
+    _walk_box([range(c + 1) for c in head], visit)
     found.sort(reverse=True)
     return tuple(found)
 
@@ -297,15 +349,24 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
     if box > SCAN_LIMIT:
         raise InputError(f"the jump search box has {box} points, more than "
                          f"{SCAN_LIMIT}; lower c_max")
-    p, q = c_max.numerator, c_max.denominator
     facets = P.facets
-    ratios = set()
-    # x = beta + 1 runs over the box shifted by 1; every ratio is > 0
-    for x in itertools.product(*(range(1, c + 2) for c in caps)):
+    # a ratio v/b is the integer key v*(den/b) over the common denominator
+    # den of the b, and at most c_max iff the key is at most top
+    den = lcm(*(b for _, b in facets))
+    top = c_max.numerator * den // c_max.denominator
+    keys = set()
+
+    def visit(x: Tuple[int, ...], _) -> bool:
+        # every ratio is > 0, and grows with each coordinate since w >= 0
         v, b = _least_facet_ratio(facets, x)
-        if q * v <= p * b:
-            ratios.add((v, b))
-    return sorted({Fraction(v, b) for v, b in ratios})
+        key = v * (den // b)
+        if key > top:
+            return False
+        keys.add(key)
+        return True
+    # x = beta + 1 runs over the box shifted by 1
+    _walk_box([range(1, c + 2) for c in caps], visit)
+    return [Fraction(k, den) for k in sorted(keys)]
 
 
 def openness_margin(ideal: MonomialIdeal, c) -> Fraction:

@@ -218,24 +218,37 @@ def _facets(generators: Sequence, n: int):
              axes ^ (1 << i) | 1 << n) for i in range(n)]
     rays.append(((0,) * n + (1,), axes))
     for k, row in enumerate(rows[1:], start=n + 1):
-        values = [sum(map(mul, row, r)) + r[n] for r, _ in rays]
-        kept = [(r, z | (1 << k) if v == 0 else z)
-                for (r, z), v in zip(rays, values) if v >= 0]
-        for (p, zp), vp in zip(rays, values):
-            if vp <= 0:
-                continue
-            for (q, zq), vq in zip(rays, values):
-                if vq >= 0:
-                    continue
+        # the rays where the generator's constraint is slack, violated
+        # and tight; the tight ones gain constraint k
+        pos, neg, kept = [], [], []
+        for r, z in rays:
+            v = sum(map(mul, row, r)) + r[n]
+            if v > 0:
+                pos.append((r, z, v))
+                kept.append((r, z))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | 1 << k))
+        masks = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
                 common = zp & zq
-                # adjacent iff no third ray is tight on all of `common`
-                if common.bit_count() < n - 1 or any(
-                        z & common == common for r, z in rays
-                        if r is not p and r is not q):
+                if common.bit_count() < n - 1:
                     continue
-                ray = [vp * b - vq * a for a, b in zip(p, q)]
-                g = gcd(*ray)
-                kept.append((tuple(v // g for v in ray), common | 1 << k))
+                # adjacent iff p and q are the only rays tight on all
+                # of `common`
+                tight = 0
+                for z in masks:
+                    if z & common == common:
+                        tight += 1
+                        if tight > 2:
+                            break
+                else:
+                    ray = [vp * b - vq * a for a, b in zip(p, q)]
+                    g = gcd(*ray)
+                    kept.append((tuple(v // g for v in ray),
+                                 common | 1 << k))
         rays = kept
     facets = set()
     for r, _ in rays:

@@ -47,14 +47,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .lp import InputError, frac, fvec
-from .toric import ConcaveToricFunction, PiecewiseLinearMin, PowerProduct
-
-CONVERGES = "Converges"
-DIVERGES = "Diverges"
-INCONCLUSIVE = "Inconclusive"
-
-PLAIN = "plain"
-POINCARE_AXIS_1 = "poincare_axis_1"
+from .toric import (CONVERGES, DIVERGES, INCONCLUSIVE, PLAIN,
+                    POINCARE_AXIS_1, ConcaveToricFunction,
+                    PiecewiseLinearMin, PowerProduct)
 
 QUADRATURE_POINTS_LIMIT = 5120  # ten times the default points per axis
 MC_SAMPLES_LIMIT = 10_000_000  # ten times the default mc_samples

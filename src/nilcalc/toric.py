@@ -58,6 +58,15 @@ class PowerProduct:
 
 ConcaveToricFunction = Union[PiecewiseLinearMin, PowerProduct]
 
+# the numerical oracle's verdicts and polydisk weights, named here so that
+# `cli` reads them without loading the oracle, and numpy with it
+CONVERGES = "Converges"
+DIVERGES = "Diverges"
+INCONCLUSIVE = "Inconclusive"
+
+PLAIN = "plain"
+POINCARE_AXIS_1 = "poincare_axis_1"
+
 
 @dataclass(frozen=True)
 class ValuativeReport:

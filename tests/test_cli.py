@@ -450,6 +450,33 @@ def test_main_exits_with_the_run_code():
         assert (proc.stderr == "") == (code == 0)
 
 
+ORACLE_ON_FIRST_USE = """
+import io, sys
+from nilcalc import cli
+assert cli.run(["lct", "--ideal", "x^2, y^3"], stdout=io.StringIO()) == 0
+assert "numpy" not in sys.modules
+import nilcalc
+from nilcalc import polydisk_mc
+assert nilcalc.OracleConfig().seed == 0 and callable(polydisk_mc)
+out = io.StringIO()
+assert cli.run(["oracle", "--op", "radial", "--k", "5/2", "--beta", "2"],
+               stdout=out) == 0
+assert out.getvalue().startswith("verdict: Converges"), out.getvalue()
+assert "numpy" in sys.modules
+"""
+
+
+def test_exact_commands_leave_numpy_unloaded():
+    # only the oracle needs numpy; the package and the CLI load it on
+    # first use
+    env = dict(os.environ, NIL_NO_COLOR="1", PYTHONPATH=os.path.dirname(
+        os.path.dirname(nilcalc.__file__)))
+    proc = subprocess.run([sys.executable, "-c", ORACLE_ON_FIRST_USE],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # argv for the fuzz below: each subcommand with most of its options, the
 # values mostly well-formed (first tuple, in the dimension n of the draw
 # where they have one) and sometimes not (second); the oracle always gets

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import operator
 import random
 import time
 from fractions import Fraction as F
@@ -6,6 +8,7 @@ from math import inf
 
 import pytest
 
+from nilcalc import ideals
 from nilcalc.ideals import (MonomialIdeal, _power_least, adj0_power_membership,
                             adjoint_ideal, adjunction_report, box_audit,
                             contains, intersect_axis_multiples,
@@ -281,3 +284,67 @@ def test_one_double_description_per_operation(monkeypatch):
         runs.clear()
         operation()
         assert len(runs) == expected, k
+
+
+def test_enumerate_minimal_matches_its_definition():
+    # the upward closure of a seeded antichain A: its minimal members in
+    # the box are those of A there; caps may cut below the staircase, A
+    # may hold the origin (the unit), and a prefix may have no member
+    rng = random.Random(31)
+    for trial in range(600):
+        n = trial % 4 + 1
+        top = (12, 6, 4, 3)[n - 1]
+        antichain = newton.minimal_antichain([
+            tuple(rng.randint(0, top) for _ in range(n))
+            for _ in range(rng.randint(1, 5))])
+        if trial % 50 < 4:
+            antichain = ((0,) * n,)
+        caps = [rng.randint(0, top + 1) for _ in range(n)]
+
+        def least_last(prefix):
+            lasts = [a[-1] for a in antichain
+                     if all(map(operator.ge, prefix, a[:-1]))]
+            return min(lasts) if lasts else None
+        box = itertools.product(*(range(c + 1) for c in caps))
+        members = [x for x in box
+                   if any(all(map(operator.ge, x, a)) for a in antichain)]
+        want = newton.minimal_antichain(members)
+        assert ideals._enumerate_minimal(n, caps, least_last) == want, \
+            (antichain, caps)
+
+
+def test_jump_scan_stops_at_the_staircase(monkeypatch):
+    # the box of (x^9, y^10, z^11) at c_max = 3 has 28*31*34 = 29,512
+    # points; the scan visits those below 3P and their next neighbours
+    calls = []
+    least = ideals._least_facet_ratio
+
+    def counted(facets, x):
+        calls.append(x)
+        return least(facets, x)
+    monkeypatch.setattr(ideals, "_least_facet_ratio", counted)
+    jumps = jumping_numbers(ideal((9, 0, 0), (0, 10, 0), (0, 0, 11)), 3)
+    assert len(jumps) == 1831 and jumps[0] == F(299, 990)
+    assert len(calls) < 29512 // 4
+
+
+def test_unit_multiplier_ideal_stops_at_once():
+    # a walk of 10^6 prefixes whose first prefix is already at 0
+    I = ideal((999, 0, 0), (0, 999, 0), (0, 0, 1))
+    start = time.perf_counter()
+    assert multiplier_ideal(I, 1).is_unit
+    assert time.perf_counter() - start < 0.25
+
+
+def test_enumerations_leave_no_reference_cycles():
+    # the walk's state, a list as long as the box has prefixes, is freed
+    # on return, not at the next garbage collection
+    I = ideal((5, 0, 0), (0, 4, 0), (0, 0, 3), (2, 1, 1), (0, 2, 1))
+    gc.collect()
+    gc.disable()
+    try:
+        multiplier_ideal(I, F(3, 2))
+        jumping_numbers(I, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,9 +6,11 @@ import pytest
 
 from axis_faces import (axis_face, in_relative_interior_of_axis_face,
                         lp_classify)
+from dd_reference import reference_facets
 from nilcalc.lp import InputError
-from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, build, classify,
-                            critical_scale, dot, minimal_antichain, ones)
+from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, _facets, build,
+                            classify, critical_scale, dot, minimal_antichain,
+                            ones)
 
 
 def check_witness(P, x, c, cls):
@@ -162,3 +164,24 @@ def test_classify_agrees_with_lp():
         cls, ref = classify(P, x, c), lp_classify(P, x, c)
         assert cls.verdict == ref.verdict and cls.margin == ref.margin
         check_witness(P, x, c, cls)
+
+
+def test_facets_match_the_reference_double_description():
+    # raw point sets (duplicates, dominated points, not m-primary) and
+    # `build`'s canonical Fraction points, in 1-4 variables
+    rng = random.Random(2024)
+    for trial in range(2400):
+        n = trial % 4 + 1
+        top = (9, 6, 4, 3)[n - 1]
+        points = [tuple(rng.randint(0, top) for _ in range(n))
+                  for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.5:  # m-primary: a pure power on each axis
+            points += [tuple(rng.randint(1, top) if i == j else 0
+                             for j in range(n)) for i in range(n)]
+        points += rng.sample(points, rng.randint(0, len(points)))
+        rng.shuffle(points)
+        if trial % 3 == 0:
+            den = rng.randint(2, 5)
+            points = build([tuple(F(v, den) for v in p)
+                            for p in points]).generators
+        assert _facets(points, n) == reference_facets(points, n), points
