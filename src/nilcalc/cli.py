@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -23,13 +22,6 @@ from . import __version__
 from .lp import HypothesisError, InputError
 from . import ideals, parsing, toric
 from .parsing import format_rational as _rat
-
-
-def _styled(text: str, stream) -> str:
-    if os.environ.get("NIL_NO_COLOR") or not getattr(stream, "isatty",
-                                                     lambda: False)():
-        return text
-    return f"\x1b[1m{text}\x1b[0m"
 
 
 def _csv_rationals(text: str) -> List[Fraction]:
@@ -67,7 +59,7 @@ _OPTIONS = {
     "--weight": dict(choices=(toric.PLAIN, toric.POINCARE_AXIS_1),
                      default=toric.PLAIN),
 }
-_SHARED = ("--format", "--input", "--vars")
+_SHARED = ("--format", "--input")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -212,10 +204,11 @@ def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
             print(line, file=stream)
 
 
-# each handler returns (payload, text_lines) for _emit; `stream` is the
-# output stream, read only to decide styling
+# each handler returns (payload, text_lines) for _emit
 
-def _cmd_mult(args, stream):
+def _cmd_mult(args):
+    if args.ideal is not None and args.toric is not None:
+        raise InputError("--ideal and --toric exclude each other; give one")
     if args.toric:
         g, names = parsing.parse_toric(args.toric, _variables(args))
         if _scale_arg(args) != 1:
@@ -230,11 +223,10 @@ def _cmd_mult(args, stream):
         inputs["c"] = _rat(c)
     return ({"inputs": inputs,
              "result": {"generators": _monomials(result, names)}},
-            [f"{_styled('generators:', stream)} "
-             f"{parsing.format_ideal(result, names)}"])
+            [f"generators: {parsing.format_ideal(result, names)}"])
 
 
-def _cmd_adj(args, stream):
+def _cmd_adj(args):
     ideal, names, inputs = _ideal_arg(args)
     c = _scale_arg(args)
     axis = _axis_index(names, _require(args, "axis"))
@@ -242,11 +234,10 @@ def _cmd_adj(args, stream):
     inputs.update({"c": _rat(c), "axis": names[axis]})
     return ({"inputs": inputs,
              "result": {"generators": _monomials(result, names)}},
-            [f"{_styled('generators:', stream)} "
-             f"{parsing.format_ideal(result, names)}"])
+            [f"generators: {parsing.format_ideal(result, names)}"])
 
 
-def _cmd_adj0(args, stream):
+def _cmd_adj0(args):
     k = parsing.parse_rational(_require(args, "k"))
     alpha = _csv_rationals(_require(args, "alpha"))
     beta = _csv_rationals(_require(args, "beta"))
@@ -257,13 +248,13 @@ def _cmd_adj0(args, stream):
             ["member" if member else "not a member"])
 
 
-def _cmd_lct(args, stream):
+def _cmd_lct(args):
     ideal, _, inputs = _ideal_arg(args)
     value = ideals.lct(ideal)
     return {"inputs": inputs, "result": {"lct": _rat(value)}}, [_rat(value)]
 
 
-def _cmd_jump(args, stream):
+def _cmd_jump(args):
     ideal, _, inputs = _ideal_arg(args)
     c_max = parsing.parse_rational(_require(args, "cmax"))
     jumps = ideals.jumping_numbers(ideal, c_max)
@@ -273,7 +264,7 @@ def _cmd_jump(args, stream):
             [", ".join(_rat(j) for j in jumps) if jumps else "none"])
 
 
-def _cmd_openness(args, stream):
+def _cmd_openness(args):
     ideal, _, inputs = _ideal_arg(args)
     c = _scale_arg(args)
     eps = ideals.openness_margin(ideal, c)
@@ -281,7 +272,7 @@ def _cmd_openness(args, stream):
     return {"inputs": inputs, "result": {"epsilon": _rat(eps)}}, [_rat(eps)]
 
 
-def _cmd_valuation(args, stream):
+def _cmd_valuation(args):
     g, names = parsing.parse_toric(_require(args, "toric"), _variables(args))
     beta = _csv_rationals(_require(args, "beta"))
     report = toric.valuative_membership(g, beta)
@@ -299,7 +290,7 @@ def _cmd_valuation(args, stream):
             text)
 
 
-def _cmd_check_adjunction(args, stream):
+def _cmd_check_adjunction(args):
     ideal, names, inputs = _ideal_arg(args)
     c = _scale_arg(args)
     axis = _axis_index(names, _require(args, "axis"))
@@ -324,7 +315,7 @@ def _cmd_check_adjunction(args, stream):
              f"restriction_exact: {str(report.restriction_exact).lower()}"])
 
 
-def _cmd_oracle(args, stream):
+def _cmd_oracle(args):
     from . import oracle  # the one module that loads numpy
     cfg = oracle.OracleConfig(**_oracle_config(args))
     inputs = {"op": args.op}
@@ -365,28 +356,30 @@ def _cmd_oracle(args, stream):
              "certificates": {"ratios": [
                  finite(r) for r in verdict.evidence.get("ratios", ())],
                  "rule": verdict.evidence.get("rule")}},
-            [f"{_styled('verdict:', stream)} {verdict.verdict}"] + partials)
+            [f"verdict: {verdict.verdict}"] + partials)
 
 
 # subcommand: (help, options after _SHARED in --help order, handler)
 _COMMANDS = {
-    "mult": ("multiplier ideal", ("--ideal", "--toric", "--c"), _cmd_mult),
-    "adj": ("adjoint ideal along a hyperplane", ("--ideal", "--c", "--axis"),
-            _cmd_adj),
+    "mult": ("multiplier ideal", ("--vars", "--ideal", "--toric", "--c"),
+             _cmd_mult),
+    "adj": ("adjoint ideal along a hyperplane",
+            ("--vars", "--ideal", "--c", "--axis"), _cmd_adj),
     "adj0": ("zero-adjoint membership for the power weight",
              ("--k", "--alpha", "--beta"), _cmd_adj0),
-    "lct": ("log canonical threshold", ("--ideal",), _cmd_lct),
-    "jump": ("jumping numbers", ("--ideal", "--cmax"), _cmd_jump),
-    "openness": ("certified openness margin", ("--ideal", "--c"),
+    "lct": ("log canonical threshold", ("--vars", "--ideal"), _cmd_lct),
+    "jump": ("jumping numbers", ("--vars", "--ideal", "--cmax"), _cmd_jump),
+    "openness": ("certified openness margin", ("--vars", "--ideal", "--c"),
                  _cmd_openness),
-    "valuation": ("valuative membership test", ("--toric", "--beta"),
-                  _cmd_valuation),
+    "valuation": ("valuative membership test",
+                  ("--vars", "--toric", "--beta"), _cmd_valuation),
     "check-adjunction": ("exactness of the adjunction sequence",
-                         ("--ideal", "--c", "--axis"), _cmd_check_adjunction),
+                         ("--vars", "--ideal", "--c", "--axis"),
+                         _cmd_check_adjunction),
     "oracle": ("numerical convergence oracle",
-               ("--toric", "--schedule", "--seed", "--points", "--samples",
-                "--strict", "--op", "--shift", "--eps", "--beta", "--weight",
-                ("--k", "rational k (radial op)")), _cmd_oracle),
+               ("--vars", "--toric", "--schedule", "--seed", "--points",
+                "--samples", "--strict", "--op", "--shift", "--eps", "--beta",
+                "--weight", ("--k", "rational k (radial op)")), _cmd_oracle),
 }
 
 
@@ -403,7 +396,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
         return 2 if exc.code else 0
     try:
         _merge_input_file(args)
-        payload, text_lines = _COMMANDS[args.command][2](args, stdout)
+        payload, text_lines = _COMMANDS[args.command][2](args)
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=stderr)
         return 3

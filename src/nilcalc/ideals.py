@@ -487,11 +487,7 @@ def adjunction_report(ideal: MonomialIdeal, c, axis: int) -> AdjunctionReport:
     P = newton_polyhedron(ideal)
     adj = _facet_ideal(P, c, shift)
     J = _facet_ideal(P, c, (1,) * ideal.dimension)
-    restricted = restrict_to_axis(ideal, axis)
-    if restricted.is_zero:
-        raise HypothesisError("the restricted ideal is zero; the weight "
-                              "is identically -infinity on the hyperplane")
-    J_H = multiplier_ideal(restricted, c)
+    J_H = multiplier_ideal(restrict_to_axis(ideal, axis), c)
     kernel = intersect_axis_multiples(adj, axis)
     shifted = shift_by_axis(J, axis)
     restriction = restrict_to_axis(adj, axis)

@@ -1,28 +1,29 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import time
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilcalc
 from nilcalc.cli import run
 
 
-@pytest.fixture(autouse=True)
-def no_color(monkeypatch):
-    monkeypatch.setenv("NIL_NO_COLOR", "1")
-
-
 def invoke(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+# a child process imports this tree's nilcalc
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(
+    os.path.dirname(nilcalc.__file__)))
 
 
 def test_mult_golden():
@@ -110,6 +111,18 @@ def test_mult_toric():
     (("mult", "--toric", "power(1; 1/2, 1/2)", "--vars", "x,y,z"),
      "variable list does not match the number of exponents"),
     (("lct", "--ideal", "x^2", "--vars", "x,x"), "duplicate variable names"),
+    # mult answers for one input, never silently dropping the other
+    (("mult", "--ideal", "x^2, y^3", "--toric", "min(x, y)"),
+     "--ideal and --toric exclude each other"),
+    (("jump", "--ideal", "x^2, y^3", "--cmax", "0"), "c_max must be positive"),
+    (("jump", "--ideal", "0", "--vars", "x,y", "--cmax", "1"),
+     "the zero ideal has no jumping numbers"),
+    (("check-adjunction", "--ideal", "1", "--vars", "x", "--axis", "x"),
+     "restriction needs dimension >= 2"),
+    (("valuation", "--toric", "min x", "--beta", "0"),
+     "expected '(' at line 1, column 5 (near 'x')"),
+    (("lct", "--ideal", "x*2"),
+     "expected a variable name at line 1, column 3 (near '2')"),
 ])
 def test_input_errors(argv, message):
     code, out, err = invoke(*argv)
@@ -122,13 +135,18 @@ def test_mult_toric_power_beyond_two_to_the_twenty():
     assert code == 0 and out == "generators: x^3000000\n"
 
 
-def test_adj0():
+def test_adj0(tmp_path):
     code, out, _ = invoke("adj0", "--k", "6", "--alpha", "1,1",
                           "--beta", "2,3")
     assert code == 0 and out == "member\n"
     code, out, _ = invoke("adj0", "--k", "6", "--alpha", "1,1",
                           "--beta", "0,5")
     assert code == 0 and out == "not a member\n"
+    # the exponents are positional, so a problem file names no variables
+    code, out, err = invoke_file(tmp_path, "adj0", {"variables": "x,y"},
+                                 "--k", "6", "--alpha", "1,1", "--beta", "2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: unknown problem-file field 'variables'\n"
 
 
 def test_valuation_json():
@@ -433,19 +451,21 @@ def test_threads_and_seed_flags():
     # exact commands never read a seed; the oracle does
     code, _, _ = invoke("lct", "--ideal", "x^2, y^3", "--seed", "1")
     assert code == 2
+    # nor does adj0 read variable names
+    code, _, err = invoke("adj0", "--k", "6", "--alpha", "1,1", "--beta",
+                          "2,3", "--vars", "x,y")
+    assert code == 2 and "--vars" in err
     code, out, _ = invoke(*RADIAL, "2", "--seed", "7")
     assert code == 0 and out.startswith("verdict: Converges")
 
 
 def test_main_exits_with_the_run_code():
     # the `nil` console script calls main(), which exits with run's code
-    env = dict(os.environ, NIL_NO_COLOR="1", PYTHONPATH=os.path.dirname(
-        os.path.dirname(nilcalc.__file__)))
     for ideal, code, out in (("x^2, y^3", 0, "5/6\n"), ("x^", 2, "")):
         proc = subprocess.run(
             [sys.executable, "-c", "from nilcalc.cli import main; main()",
              "lct", "--ideal", ideal],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=CHILD_ENV, timeout=120)
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
         assert (proc.stderr == "") == (code == 0)
 
@@ -469,12 +489,47 @@ assert "numpy" in sys.modules
 def test_exact_commands_leave_numpy_unloaded():
     # only the oracle needs numpy; the package and the CLI load it on
     # first use
-    env = dict(os.environ, NIL_NO_COLOR="1", PYTHONPATH=os.path.dirname(
-        os.path.dirname(nilcalc.__file__)))
     proc = subprocess.run([sys.executable, "-c", ORACLE_ON_FIRST_USE],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=CHILD_ENV,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _terminal_stdout(command):
+    """The bytes `command` writes to a pseudo-terminal as its stdout."""
+    master, slave = os.openpty()
+    try:
+        proc = subprocess.Popen(command, stdout=slave, env=CHILD_ENV)
+    finally:
+        os.close(slave)  # the child holds its own copy
+    try:
+        chunks = []
+        while select.select([master], [], [], 120)[0]:
+            try:
+                chunk = os.read(master, 4096)
+            except OSError:  # EIO: the child closed the terminal
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+        assert proc.wait(timeout=120) == 0
+    finally:
+        os.close(master)
+    return b"".join(chunks)
+
+
+@pytest.mark.skipif(not hasattr(os, "openpty"),
+                    reason="no pseudo-terminals on this platform")
+@pytest.mark.parametrize("argv", [
+    ("mult", "--ideal", "x^2, y^3", "--c", "5/6"),
+    ("oracle", "--op", "radial", "--k", "5/2", "--beta", "2")])
+def test_terminal_output_is_the_piped_output(argv):
+    command = [sys.executable, "-c", "from nilcalc.cli import main; main()",
+               *argv]
+    piped = subprocess.run(command, capture_output=True, env=CHILD_ENV,
+                           timeout=120, check=True).stdout
+    # the terminal maps each newline to \r\n
+    assert _terminal_stdout(command).replace(b"\r\n", b"\n") == piped
 
 
 # argv for the fuzz below: each subcommand with most of its options, the
@@ -558,8 +613,7 @@ def argvs(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(argvs())
 def test_run_never_fails_outside_its_exit_codes(argv):
     code, out, err = invoke(*argv)

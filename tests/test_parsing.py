@@ -5,8 +5,8 @@ import pytest
 
 from nilcalc.ideals import minimalize
 from nilcalc.parsing import (ParseError, format_ideal, format_monomial,
-                             format_rational, parse_ideal, parse_rational,
-                             parse_toric)
+                             format_rational, parse_ideal, parse_monomial,
+                             parse_rational, parse_toric)
 from nilcalc.toric import PiecewiseLinearMin, PowerProduct
 from nilcalc.lp import InputError
 
@@ -87,10 +87,20 @@ def test_parse_toric_power():
     # past four variables, the default names are z1, z2, ...
     _, names = parse_toric("power(1; 1/5, 1/5, 1/5, 1/5, 1/5)")
     assert names == ["z1", "z2", "z3", "z4", "z5"]
+    # given names are kept, in order
+    _, names = parse_toric("power(2; 1/2, 1/2)", ["u", "v"])
+    assert names == ["u", "v"]
     with pytest.raises(InputError):
         parse_toric("power(2; 2/3, 2/3)")
     with pytest.raises(ParseError):
         parse_toric("max(x, y)")
+
+
+def test_parse_monomial():
+    # a repeated factor adds up; names appear in order of first use
+    assert parse_monomial("x^2*y*x") == ((3, 1), ["x", "y"])
+    # 1 is the empty product in the given variables
+    assert parse_monomial("1", ["x", "y"]) == ((0, 0), ["x", "y"])
 
 
 def test_round_trip_property():
