@@ -11,6 +11,7 @@ chosen hyperplane), 4 when an oracle verdict is Inconclusive under
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -30,10 +31,11 @@ def _csv_rationals(text: str) -> List[Fraction]:
 
 # argparse settings of every option; a subcommand's row in _COMMANDS
 # names its options in order, a (name, help) pair where the help differs.
-# A `default` is not handed to argparse, so that an option left off the
-# command line reads None until _merge_input_file fills it
+# No option has a default: one left off the command line reads None
+# unless the problem file gives it, so a given option is told from an
+# absent one, and the code that reads an option supplies its default
 _OPTIONS = {
-    "--format": dict(choices=("text", "json"), default="text"),
+    "--format": dict(choices=("text", "json")),
     "--input": dict(metavar="FILE",
                     help="JSON problem file; explicit flags win"),
     "--vars": dict(help="comma-separated variable names"),
@@ -43,7 +45,7 @@ _OPTIONS = {
     "--axis": dict(help="variable name of the hyperplane"),
     "--schedule": dict(help="comma-separated truncation boxes"),
     # parsed by _oracle_config, as are the same problem-file fields
-    "--seed": dict(default=0, help="Monte Carlo seed"),
+    "--seed": dict(help="Monte Carlo seed"),
     "--points": dict(help="quadrature points per axis"),
     "--samples": dict(help="Monte Carlo samples"),
     "--strict": dict(action="store_true",
@@ -52,12 +54,10 @@ _OPTIONS = {
     "--alpha": dict(help="comma-separated positive rationals"),
     "--beta": dict(help="comma-separated natural exponents"),
     "--cmax": dict(help="upper bound for the jump search"),
-    "--op": dict(choices=("orthant", "weighted", "polydisk", "radial"),
-                 default="orthant"),
+    "--op": dict(choices=("orthant", "weighted", "polydisk", "radial")),
     "--shift": dict(help="comma-separated rational vector A"),
     "--eps": dict(help="rational eps >= 0 (weighted op)"),
-    "--weight": dict(choices=(toric.PLAIN, toric.POINCARE_AXIS_1),
-                     default=toric.PLAIN),
+    "--weight": dict(choices=(toric.PLAIN, toric.POINCARE_AXIS_1)),
 }
 _SHARED = ("--format", "--input")
 
@@ -76,23 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
             # (name, help) where this subcommand's help differs
             name, own_help = (option, None) if isinstance(option, str) \
                 else option
-            settings = dict(_OPTIONS[name])
-            settings.pop("default", None)
-            if own_help:
-                settings["help"] = own_help
-            p.add_argument(name, **settings)
+            settings = _OPTIONS[name]
+            p.add_argument(name, **dict(
+                settings, help=own_help or settings.get("help")))
     return parser
-
-
-def _merge_input_file(args: argparse.Namespace) -> None:
-    """Fill each option left off the command line from the problem file
-    of --input, if any, and then from its `_OPTIONS` default."""
-    if args.input:
-        _read_input_file(args)
-    for name, settings in _OPTIONS.items():
-        dest = name[2:]
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, settings.get("default"))
 
 
 def _read_input_file(args: argparse.Namespace) -> None:
@@ -161,7 +148,8 @@ def _oracle_config(args) -> dict:
     """The OracleConfig settings of the command line."""
     kwargs = {}
     try:
-        kwargs["seed"] = int(args.seed)
+        if args.seed is not None:
+            kwargs["seed"] = int(args.seed)
         if args.schedule is not None:
             kwargs["truncation_schedule"] = tuple(
                 float(x) for x in str(args.schedule).split(","))
@@ -315,11 +303,26 @@ def _cmd_check_adjunction(args):
              f"restriction_exact: {str(report.restriction_exact).lower()}"])
 
 
+# the options each oracle --op reads, besides the shared --schedule,
+# --strict, --op, --format and --input; it refuses the others
+_ORACLE_OPS = {
+    "radial": ("--k", "--beta", "--points"),
+    "orthant": ("--vars", "--toric", "--shift", "--points"),
+    "weighted": ("--vars", "--toric", "--shift", "--points", "--eps"),
+    "polydisk": ("--vars", "--toric", "--beta", "--weight", "--seed",
+                 "--samples"),
+}
+
+
 def _cmd_oracle(args):
+    op = args.op or "orthant"
+    for n in sum(_ORACLE_OPS.values(), ()):
+        if n not in _ORACLE_OPS[op] and getattr(args, n[2:]) is not None:
+            raise InputError(f"--op {op} does not take {n}")
     from . import oracle  # the one module that loads numpy
     cfg = oracle.OracleConfig(**_oracle_config(args))
-    inputs = {"op": args.op}
-    if args.op == "radial":
+    inputs = {"op": op}
+    if op == "radial":
         k = parsing.parse_rational(_require(args, "k"))
         beta = _csv_rationals(_require(args, "beta"))
         if len(beta) != 1:
@@ -330,21 +333,22 @@ def _cmd_oracle(args):
         g, names = parsing.parse_toric(_require(args, "toric"),
                                        _variables(args))
         inputs["toric"] = args.toric
-        if args.op == "orthant":
+        if op == "orthant":
             A = _csv_rationals(_require(args, "shift"))
             verdict = oracle.orthant_exp_integral(g, A, cfg)
             inputs["A"] = [_rat(a) for a in A]
-        elif args.op == "weighted":
+        elif op == "weighted":
             A = _csv_rationals(_require(args, "shift"))
-            eps = parsing.parse_rational(args.eps) if args.eps \
-                else Fraction(0)
+            eps = parsing.parse_rational(args.eps or "0")
             verdict = oracle.adjoint_weighted_integral(g, A, eps, cfg)
             inputs.update({"A": [_rat(a) for a in A], "eps": _rat(eps)})
         else:
             beta = _csv_rationals(_require(args, "beta"))
-            verdict = oracle.polydisk_mc(g, beta, args.weight, cfg)
+            weight = args.weight or inspect.signature(
+                oracle.polydisk_mc).parameters["weight"].default
+            verdict = oracle.polydisk_mc(g, beta, weight, cfg)
             inputs.update({"beta": [_rat(b) for b in beta],
-                           "weight": args.weight})
+                           "weight": weight})
     partials = [f"T={t:g}: {v:.6g}" for t, v in verdict.partial_values]
 
     def finite(v):  # strict JSON has no inf or NaN; null stands for them
@@ -395,7 +399,8 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        _merge_input_file(args)
+        if args.input:
+            _read_input_file(args)
         payload, text_lines = _COMMANDS[args.command][2](args)
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=stderr)

@@ -60,7 +60,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .lp import ZERO, HypothesisError, InputError, frac
 from .newton import (Exponents, NewtonPolyhedron, _least_facet_ratio,
                      axis_complement_ones, critical_scale, dominates,
-                     minimal_antichain, ones, vector)
+                     minimal_antichain, natural_vector, ones, vector)
 from .toric import (ConcaveToricFunction, PowerProduct, _floor_root,
                     _power_criterion, body_polyhedron)
 # not called here; perfbench's tracer resolves these bindings in `ideals`
@@ -104,22 +104,13 @@ class AdjunctionReport:
     restriction_exact: bool
 
 
-def _natural_vector(coords: Sequence,
-                    dimension: Optional[int]) -> Exponents:
-    v = vector(coords, dimension)
-    for c in v:
-        if c < 0 or c.denominator != 1:
-            raise InputError("exponents must be natural numbers")
-    return tuple(c.numerator for c in v)
-
-
 def minimalize(exponents: Iterable[Sequence],
                dimension: Optional[int] = None) -> MonomialIdeal:
     """The ideal generated by the given exponents, in canonical form."""
     vecs = []
     n = dimension
     for e in exponents:
-        v = _natural_vector(e, n)
+        v = natural_vector(e, n)
         n = len(v)
         vecs.append(v)
     if n is None:
@@ -129,7 +120,7 @@ def minimalize(exponents: Iterable[Sequence],
 
 
 def contains(ideal: MonomialIdeal, beta: Sequence) -> bool:
-    bv = _natural_vector(beta, ideal.dimension)
+    bv = natural_vector(beta, ideal.dimension)
     return any(dominates(bv, g) for g in ideal.generators)
 
 
@@ -425,7 +416,7 @@ def adj0_power_membership(k, alpha: Sequence, beta: Sequence) -> bool:
     al = vector(alpha)
     if any(a <= 0 for a in al):
         raise InputError("all alpha_i must be positive")
-    bv = _natural_vector(beta, len(al))
+    bv = natural_vector(beta, len(al))
     total = sum(((b + 1) / a for b, a in zip(bv, al)), ZERO)
     threshold = kf + 1 / al[0]
     if total > threshold:

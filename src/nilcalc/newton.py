@@ -44,6 +44,16 @@ def vector(coords: Sequence, dimension: Optional[int] = None) -> Vector:
     return v
 
 
+def natural_vector(coords: Sequence,
+                   dimension: Optional[int]) -> Exponents:
+    """The exponent vector of the monomial z^coords, checked natural."""
+    v = vector(coords, dimension)
+    for c in v:
+        if c < 0 or c.denominator != 1:
+            raise InputError("exponents must be natural numbers")
+    return tuple(c.numerator for c in v)
+
+
 def ones(n: int) -> Vector:
     return (Fraction(1),) * n
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple, Union
 from .lp import ZERO, InputError, frac, fvec
 from .newton import (BOUNDARY, EXTERIOR, INTERIOR, NewtonPolyhedron,
                      PointClassification, Vector, build, classify, dot,
-                     integers, vector)
+                     integers, natural_vector, vector)
 
 _LOG_FLOAT_MIN = log(sys.float_info.min)  # least positive normal float
 _LOG_FLOAT_MAX = log(sys.float_info.max)
@@ -295,14 +295,12 @@ def certificate_slack(g: ConcaveToricFunction, beta: Sequence,
 
 def valuative_membership(g: ConcaveToricFunction,
                          beta: Sequence) -> ValuativeReport:
-    """Membership of z^beta decided through monomial valuations.
+    """Membership of z^beta (beta natural) through monomial valuations.
 
     Member iff beta + 1 lies in the interior of the body; non-members
     carry a weight w with ghat(w) >= <w, beta> + |w| exactly.
     """
-    bv = vector(beta, g.dimension)
-    if any(v < 0 for v in bv):
-        raise InputError("beta must be componentwise >= 0")
+    bv = natural_vector(beta, g.dimension)
     lam = tuple(b + 1 for b in bv)
     cls = classify_in_body(g, lam)
     if cls.verdict == INTERIOR:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilcalc
-from nilcalc.cli import run
+from nilcalc.cli import _ORACLE_OPS, run
 
 
 def invoke(*argv):
@@ -123,6 +123,23 @@ def test_mult_toric():
      "expected '(' at line 1, column 5 (near 'x')"),
     (("lct", "--ideal", "x*2"),
      "expected a variable name at line 1, column 3 (near '2')"),
+    # z^beta is a monomial only for a natural beta, as in adj0
+    (("valuation", "--toric", "min(2*x)", "--beta", "1/2"),
+     "exponents must be natural numbers"),
+    (("valuation", "--toric", "power(1; 1/2, 1/2)", "--beta", "1/2,3/4"),
+     "exponents must be natural numbers"),
+    (("valuation", "--toric", "power(1; -1/2)", "--beta", "0"),
+     "exponents must be non-negative"),
+    (("oracle", "--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta",
+      "1,1,1", "--samples", "100"), "dimension mismatch between g and beta"),
+    (("oracle", "--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta",
+      "1,1", "--schedule", "0.5,1,2", "--samples", "100"),
+     "truncation schedule must exceed log 2"),
+    (("mult", "--toric", "min(1,2)"),
+     "a toric function needs at least one variable"),
+    (("mult", "--toric", "min(2*3)"),
+     "expected a variable name at line 1, column 7 (near '3')"),
+    (("mult", "--toric", "power(2;1/2"), "expected ')' at line 1, column 12"),
 ])
 def test_input_errors(argv, message):
     code, out, err = invoke(*argv)
@@ -411,8 +428,13 @@ def test_radial_beta_must_be_natural():
 
 @pytest.mark.parametrize("flag", ["--points", "--samples"])
 def test_oracle_zero_points_and_samples(flag):
-    code, out, _ = invoke(*RADIAL, "2", flag, "0")
+    # each setting to an op that reads it, so OracleConfig refuses the 0
+    op = RADIAL + ("2",) if flag == "--points" else (
+        "oracle", "--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta",
+        "0,0")
+    code, out, err = invoke(*op, flag, "0")
     assert code == 2 and out == ""
+    assert err.startswith("error:") and "must lie in" in err
 
 
 def test_oracle_samples_above_the_limit():
@@ -455,8 +477,50 @@ def test_threads_and_seed_flags():
     code, _, err = invoke("adj0", "--k", "6", "--alpha", "1,1", "--beta",
                           "2,3", "--vars", "x,y")
     assert code == 2 and "--vars" in err
-    code, out, _ = invoke(*RADIAL, "2", "--seed", "7")
-    assert code == 0 and out.startswith("verdict: Converges")
+    # nor does a quadrature op; the Monte Carlo op does
+    code, out, err = invoke(*RADIAL, "2", "--seed", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: --op radial does not take --seed\n"
+    code, out, _ = invoke("oracle", "--op", "polydisk", "--seed", "7",
+                          *POLYDISK)
+    assert code == 0 and out.startswith("verdict: ")
+
+
+# valid values of every option that some oracle op reads, and for each op
+# an argv giving only options it reads
+ORACLE_VALUES = {"--vars": "x", "--toric": "min(2*x)", "--shift": "5",
+                 "--points": "16", "--eps": "1/10", "--k": "5/2",
+                 "--beta": "2", "--weight": "plain", "--seed": "7",
+                 "--samples": "100"}
+ORACLE_BASE = {
+    "radial": ("--k", "--beta", "--points"),
+    "orthant": ("--toric", "--shift", "--points"),
+    "weighted": ("--toric", "--shift", "--points", "--eps"),
+    "polydisk": ("--toric", "--beta", "--samples")}
+REFUSED = [(op, name) for op, reads in _ORACLE_OPS.items()
+           for name in ORACLE_VALUES if name not in reads]
+
+
+def test_oracle_ops_read_their_base_options():
+    assert len(REFUSED) == 22
+    for op, names in ORACLE_BASE.items():
+        argv = [f"{n}={ORACLE_VALUES[n]}" for n in names]
+        code, out, err = invoke("oracle", "--op", op, *argv)
+        assert code == 0 and out.startswith("verdict: Converges"), err
+
+
+@pytest.mark.parametrize("op, name", REFUSED)
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_oracle_op_refuses_what_it_does_not_read(tmp_path, op, name, source):
+    argv = [f"{n}={ORACLE_VALUES[n]}" for n in ORACLE_BASE[op]]
+    if source == "flag":
+        code, out, err = invoke("oracle", "--op", op, name,
+                                ORACLE_VALUES[name], *argv)
+    else:
+        code, out, err = invoke_file(tmp_path, "oracle", {
+            "op": op, name[2:]: ORACLE_VALUES[name]}, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --op {op} does not take {name}\n"
 
 
 def test_main_exits_with_the_run_code():
@@ -474,6 +538,9 @@ ORACLE_ON_FIRST_USE = """
 import io, sys
 from nilcalc import cli
 assert cli.run(["lct", "--ideal", "x^2, y^3"], stdout=io.StringIO()) == 0
+# an oracle option its op does not read is refused before numpy loads
+assert cli.run(["oracle", "--op", "radial", "--k", "5/2", "--beta", "2",
+                "--seed", "1"], stderr=io.StringIO()) == 2
 assert "numpy" not in sys.modules
 import nilcalc
 from nilcalc import polydisk_mc
@@ -605,9 +672,13 @@ def argvs(draw):
         argv.append(flag if values is None
                     else f"{flag}={fuzz_value(draw, values)}")
     if argv[0] == "oracle":
-        argv.append(f"--points={fuzz_value(draw, (('16', '8', '2'), ('0',)))}")
-        argv.append("--samples="
-                    + fuzz_value(draw, (("1000", "100", "1"), ("0",))))
+        # each op takes only the setting it reads
+        if argv[1] == "--op=polydisk":
+            argv.append("--samples="
+                        + fuzz_value(draw, (("1000", "100", "1"), ("0",))))
+        else:
+            argv.append("--points="
+                        + fuzz_value(draw, (("16", "8", "2"), ("0",))))
     if draw(st.booleans()):
         argv.append("--format=json")
     return argv

@@ -222,6 +222,16 @@ def test_valuative_membership_power():
     assert rep.member and rep.margin > 0
 
 
+@pytest.mark.parametrize("g, beta", [
+    (pwl_min([((2,), 0)]), (F(1, 2),)),
+    (power_product(1, (F(1, 2), F(1, 2))), (F(1, 2), F(3, 4))),
+    (G_23, (-1, 0))])
+def test_valuative_membership_needs_a_monomial(g, beta):
+    # z^beta is a monomial only for a natural beta
+    with pytest.raises(InputError, match="exponents must be natural"):
+        valuative_membership(g, beta)
+
+
 def test_homogeneity_and_monotonicity():
     rng = random.Random(21)
     funcs = [G_23,
