@@ -321,7 +321,13 @@ def _cmd_oracle(args):
             raise InputError(f"--op {op} does not take {n}")
     from . import oracle  # the one module that loads numpy
     cfg = oracle.OracleConfig(**_oracle_config(args))
-    inputs = {"op": op}
+    # the settings the op read, defaults included, so that the inputs
+    # given back through --input reproduce the result
+    inputs = {"op": op, "schedule": list(cfg.truncation_schedule)}
+    if op == "polydisk":
+        inputs.update({"seed": cfg.seed, "samples": cfg.mc_samples})
+    else:
+        inputs["points"] = cfg.quadrature_points_per_axis
     if op == "radial":
         k = parsing.parse_rational(_require(args, "k"))
         beta = _csv_rationals(_require(args, "beta"))
@@ -332,7 +338,7 @@ def _cmd_oracle(args):
     else:
         g, names = parsing.parse_toric(_require(args, "toric"),
                                        _variables(args))
-        inputs["toric"] = args.toric
+        inputs.update({"toric": args.toric, "variables": names})
         if op == "orthant":
             A = _csv_rationals(_require(args, "shift"))
             verdict = oracle.orthant_exp_integral(g, A, cfg)

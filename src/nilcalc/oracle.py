@@ -22,6 +22,10 @@ integrand is the exponential of a minimum of affine pieces, so the same
 sum is taken in closed form along the last axis, piece by piece, from
 per-piece partial sums (`_envelope_box`); power products are summed
 over the grid itself (`_grid_box`), which is also the tests' reference.
+The partial sums are cumulative sums of exponentials scaled block by
+block (`_log_cumsum`), and one call builds each axis grid and each set of
+partial sums once for all the shell boxes that share its interval
+(`_Envelope`).
 
 The polydisk integral is estimated by Monte Carlo.  Each shell box's
 samples are drawn into one preallocated array and evaluated in blocks of
@@ -61,6 +65,9 @@ ALGEBRAIC_DECAY_THRESHOLD = 0.7
 
 _GRID_CHUNK = 1 << 22  # max tensor-grid points evaluated at once
 _ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
+# the terms summed in one block of `_log_cumsum` span less than this, so
+# that their exponentials relative to the block's largest stay above e^-600
+_BLOCK_SPAN = 600.0
 # Monte Carlo samples evaluated at once; _MC_CHUNK e^700 / (log 2)^2 is
 # below the float maximum, so the sum over one block is always finite
 _MC_CHUNK = 1 << 13
@@ -245,6 +252,188 @@ def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
     return total
 
 
+def _blocks(x: np.ndarray, lw_span: float, slope: float) -> List[int]:
+    """Cuts 0 = c_0 < c_1 < ... < c_B = m of the nodes x into blocks on
+    which the terms lw_j + a x_j span less than _BLOCK_SPAN for every
+    |a| <= slope, lw_span being the span of the lw_j."""
+    room = _BLOCK_SPAN - lw_span
+    if not room > 0.0:  # the weights alone span too much: a node per block
+        return list(range(len(x) + 1))
+    reach = room / slope if slope > 0.0 else math.inf
+    cuts = [0]
+    while cuts[-1] < len(x):
+        s = cuts[-1]
+        cuts.append(max(s + 1, int(np.searchsorted(x, x[s] + reach))))
+    return cuts
+
+
+def _log_cumsum(terms: np.ndarray, cuts: Sequence[int],
+                out: np.ndarray) -> None:
+    """out[k, i] = log sum_{j <= i} e^{terms[k, j]}, where terms and out
+    may be reversed views.
+
+    Inside a block of `_blocks` the terms of a row lie within _BLOCK_SPAN
+    of their maximum ref, so the cumulative sum of e^{terms - ref} neither
+    overflows nor underflows.  Each later block is chained onto the log P
+    of the earlier blocks' total: with R = max(ref, P), out = R +
+    log(local e^{ref - R} + e^{P - R}).
+    """
+    total = None  # P
+    for s, e in zip(cuts, cuts[1:]):
+        block = terms[:, s:e]
+        # finite also on a row of zero weights, whose log is -inf
+        ref = block.max(axis=1, keepdims=True, initial=np.finfo(float).min)
+        local = np.subtract(block, ref)
+        np.exp(local, out=local)
+        np.cumsum(local, axis=1, out=local)
+        # the first block has no P (it would be -inf, which leaves
+        # out = ref + log(local) as it stands)
+        if total is not None:
+            top = np.maximum(ref, total)
+            local *= np.exp(ref - top)
+            local += np.exp(total - top)
+            ref = top
+        np.log(local, out=local)
+        np.add(local, ref, out=out[:, s:e])
+        total = out[:, e - 1:e]
+
+
+def _log_partial_sums(x: np.ndarray, lw: np.ndarray, a: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """head[k, i] = log sum_{j < i} w_j e^{a_k x_j} and tail[k, i] =
+    log sum_{j >= i} w_j e^{a_k x_j} for i = 0..m, where lw = log w."""
+    m = len(x)
+    terms = lw + np.multiply.outer(a, x)
+    cuts = _blocks(x, float(lw.max()) - float(lw.min()),
+                   float(np.abs(a).max()))
+    head = np.empty((len(a), m + 1))
+    tail = np.empty((len(a), m + 1))
+    head[:, 0] = tail[:, m] = -np.inf
+    _log_cumsum(terms, cuts, head[:, 1:])
+    _log_cumsum(terms[:, ::-1], [m - c for c in reversed(cuts)],
+                tail[:, -2::-1])
+    return head, tail
+
+
+class _Envelope:
+    """`_envelope_box` for every box of one call: the pieces as float
+    rows sorted once, and the axis grids, the kept pieces' arrays and the
+    last-axis partial sums built once per distinct interval or set of
+    kept pieces, for the life of the call."""
+
+    def __init__(self, g: PiecewiseLinearMin, A: Tuple[float, ...], m: int,
+                 weight_axis0: bool):
+        n = len(A)
+        # the pieces c_k + <a_k, x> of 2(g - <A, x>) and the clamp (0, 700),
+        # by decreasing last slope: the active piece never moves back
+        # along the last axis
+        self.rows = sorted(
+            [([2.0 * (float(s) - Ai) for s, Ai in zip(slope, A)],
+              2.0 * float(off)) for slope, off in g.pieces]
+            + [([0.0] * n, 700.0)], key=lambda row: -row[0][-1])
+        self.n, self.m, self.weight_axis0 = n, m, weight_axis0
+        self.grids: Dict[tuple, tuple] = {}
+        self.kept: Dict[tuple, tuple] = {}
+        self.sums: Dict[tuple, tuple] = {}
+
+    def _grid(self, i: int, a: float, b: float) -> tuple:
+        """Nodes, weights (over x^2 on a weighted axis 0) and log weights."""
+        key = (i == 0 and self.weight_axis0, a, b)
+        grid = self.grids.get(key)
+        if grid is None:
+            x, w = _axis_grid(a, b, self.m, a == 0.0)
+            if key[0]:
+                w = w / np.square(x)
+            grid = self.grids[key] = x, w, np.log(w)
+        return grid
+
+    def _pieces(self, keep: tuple) -> tuple:
+        """Slopes, constants and inverse last-slope gaps of kept pieces."""
+        kept = self.kept.get(keep)
+        if kept is None:
+            slopes = np.array([self.rows[k][0] for k in keep])
+            consts = np.array([self.rows[k][1] for k in keep])
+            a = slopes[:, -1]
+            da = a[:, None] - a[None, :]
+            inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
+            kept = self.kept[keep] = slopes, consts, da, inv
+        return kept
+
+    def _partial_sums(self, interval: Tuple[float, float], keep: tuple,
+                      a: np.ndarray) -> tuple:
+        """The last-axis nodes and `_log_partial_sums` of the kept pieces,
+        head and tail flattened."""
+        key = (interval, keep)
+        sums = self.sums.get(key)
+        if sums is None:
+            x, _, lw = self._grid(self.n - 1, *interval)
+            head, tail = _log_partial_sums(x, lw, a)
+            sums = self.sums[key] = x, head.ravel(), tail.ravel()
+        return sums
+
+    def box(self, box: Sequence[Tuple[float, float]]) -> float:
+        """The box's integral; see `_envelope_box`."""
+        n, m = len(box), self.m
+        # a piece that stays above another piece's maximum on the box is
+        # never the least one there (this drops the clamp on most boxes)
+        least, most = [], []
+        for slope, c in self.rows:
+            ends = [(s * a, s * b) for s, (a, b) in zip(slope, box)]
+            least.append(c + sum(min(e) for e in ends))
+            most.append(c + sum(max(e) for e in ends))
+        top = min(most)
+        keep = tuple(k for k, v in enumerate(least) if v <= top)
+        slopes, consts, da, inv = self._pieces(keep)
+        K = len(keep)
+        x, head, tail = self._partial_sums(tuple(box[-1]), keep,
+                                           slopes[:, -1])
+        lead = [self._grid(i, a, b)[:2] for i, (a, b) in enumerate(box[:-1])]
+        rows = max(1, _ENVELOPE_CHUNK // (K * m ** max(n - 2, 0)))
+        total = 0.0
+        for start in range(0, m if lead else 1, rows):
+            # C[k, r]: c_k plus the other axes' terms at row r
+            C = consts[:, None]
+            W = np.ones(1)
+            for i, (xi, wi) in enumerate(lead):
+                if i == 0:
+                    xi, wi = xi[start:start + rows], wi[start:start + rows]
+                C = (C[:, :, None]
+                     + np.multiply.outer(slopes[:, i], xi)[:, None]
+                     ).reshape(K, -1)
+                W = np.multiply.outer(W, wi).ravel()
+            # node x goes to a piece >= k iff x > tau_k = max_{i<k}
+            # min_{j>=k} of the point from which line j stays at or below
+            # line i
+            tau = np.full_like(C, -np.inf)
+            reach = np.full_like(C, np.inf)
+            for j in range(K - 1, 0, -1):
+                cross = (C[j] - C[:j]) * inv[:j, j, None]
+                ties = da[:j, j] == 0
+                if ties.any():
+                    cross[ties] = np.where(C[j] <= C[:j][ties], -np.inf,
+                                           np.inf)
+                np.minimum(reach[:j], cross, out=reach[:j])
+                tau[j] = reach[:j].max(axis=0)
+            lo = np.maximum.accumulate(np.searchsorted(x, tau, "right"),
+                                       axis=0)
+            hi = np.concatenate([lo[1:], np.full((1, lo.shape[1]), m)])
+            # the (piece, row) pairs with a non-empty run; subtract the
+            # smaller of the two partial sums, so that the difference
+            # loses at most about log10(m) digits
+            k, r = np.nonzero(hi > lo)
+            # as indices into the flattened partial sums
+            at = k * (m + 1)
+            lo, hi = at + lo[k, r], at + hi[k, r]
+            hl, th = head[lo], tail[hi]
+            first = hl <= th
+            small = np.where(first, hl, th)
+            big = np.where(first, head[hi], tail[lo])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                run = big + np.log(-np.expm1(small - big))
+            total += float(W[r] @ np.exp(C[k, r] + run))
+        return total
+
+
 def _envelope_box(g: PiecewiseLinearMin, A: Tuple[float, ...],
                   box: Sequence[Tuple[float, float]], m: int,
                   weight_axis0: bool) -> float:
@@ -257,74 +446,12 @@ def _envelope_box(g: PiecewiseLinearMin, A: Tuple[float, ...],
     the last coordinate with the same slopes a_k, so every piece is
     active on one run of consecutive nodes, and its share of the row is
     e^{c_row,k} times a difference of partial sums of w_j e^{a_k x_j},
-    which do not depend on the row.
+    which do not depend on the row.  The partial sums are scaled
+    cumulative sums (`_log_cumsum`), and only the (piece, row) pairs
+    whose run is not empty reach log, expm1 and exp.  `_Envelope` holds
+    what the boxes of one call share.
     """
-    n = len(box)
-    axes = [_axis_grid(a, b, m, a == 0.0) for a, b in box]
-    if weight_axis0:
-        x0, w0 = axes[0]
-        axes[0] = (x0, w0 / np.square(x0))
-    slopes = np.array([[2.0 * (float(s) - Ai) for s, Ai in zip(slope, A)]
-                       for slope, _ in g.pieces] + [[0.0] * n])
-    consts = np.array([2.0 * float(off) for _, off in g.pieces] + [700.0])
-    # a piece that stays above another piece's maximum on the box is
-    # never the least one there (this drops the clamp on most boxes)
-    ends = slopes[:, :, None] * np.array(box)
-    least = consts + ends.min(axis=2).sum(axis=1)
-    most = consts + ends.max(axis=2).sum(axis=1)
-    keep = least <= most.min()
-    slopes, consts = slopes[keep], consts[keep]
-    # by decreasing last slope, the active piece never moves back along x
-    order = np.argsort(-slopes[:, -1], kind="stable")
-    slopes, consts = slopes[order], consts[order]
-    K = len(consts)
-    x, w = axes[-1]
-    a = slopes[:, -1]
-    # log sums of w_j e^{a_k x_j} over nodes j < i (head) and j >= i (tail)
-    terms = np.log(w) + np.multiply.outer(a, x)
-    head = np.full((K, m + 1), -np.inf)
-    tail = np.full((K, m + 1), -np.inf)
-    head[:, 1:] = np.logaddexp.accumulate(terms, axis=1)
-    tail[:, :-1] = np.logaddexp.accumulate(terms[:, ::-1], axis=1)[:, ::-1]
-    da = a[:, None] - a[None, :]
-    inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
-    pieces = np.arange(K)[:, None]
-    lead = axes[:-1]
-    rows = max(1, _ENVELOPE_CHUNK // (K * m ** max(n - 2, 0)))
-    total = 0.0
-    for start in range(0, m if lead else 1, rows):
-        # C[k, r]: c_k plus the other axes' terms at row r
-        C = consts[:, None]
-        W = np.ones(1)
-        for i, (xi, wi) in enumerate(lead):
-            if i == 0:
-                xi, wi = xi[start:start + rows], wi[start:start + rows]
-            C = (C[:, :, None] + np.multiply.outer(slopes[:, i], xi)[:, None]
-                 ).reshape(K, -1)
-            W = np.multiply.outer(W, wi).ravel()
-        # node x goes to a piece >= k iff x > tau_k = max_{i<k} min_{j>=k}
-        # of the point from which line j stays at or below line i
-        tau = np.full_like(C, -np.inf)
-        reach = np.full_like(C, np.inf)
-        for j in range(K - 1, 0, -1):
-            cross = (C[j] - C[:j]) * inv[:j, j, None]
-            ties = da[:j, j] == 0
-            if ties.any():
-                cross[ties] = np.where(C[j] <= C[:j][ties], -np.inf, np.inf)
-            np.minimum(reach[:j], cross, out=reach[:j])
-            tau[j] = reach[:j].max(axis=0)
-        lo = np.maximum.accumulate(np.searchsorted(x, tau, "right"), axis=0)
-        hi = np.concatenate([lo[1:], np.full((1, lo.shape[1]), m)])
-        # subtract the smaller of the two partial sums, so that the
-        # difference loses at most about log10(m) digits
-        hl, th = head[pieces, lo], tail[pieces, hi]
-        small = np.minimum(hl, th)
-        big = np.where(hl <= th, head[pieces, hi], tail[pieces, lo])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            run = np.where(hi > lo, big + np.log(-np.expm1(small - big)),
-                           -np.inf)
-        total += float(W @ np.exp(C + run).sum(axis=0))
-    return total
+    return _Envelope(g, A, m, weight_axis0).box(box)
 
 
 def _validate_shift(g: ConcaveToricFunction, A: Sequence) -> Tuple[float, ...]:
@@ -348,12 +475,15 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
                         weight_axis0: bool) -> ConvergenceVerdict:
     """Verdict read off the quadrature of each shell of the schedule."""
     m = cfg.quadrature_points_per_axis
-    box_integral = (_envelope_box if isinstance(g, PiecewiseLinearMin)
-                    else _grid_box)
-    # a shell beyond float range adds inf, which reads as growth
-    with np.errstate(over="ignore"):
-        increments = [sum(box_integral(g, A, box, m, weight_axis0)
-                          for box in boxes)
+    if isinstance(g, PiecewiseLinearMin):
+        box_integral = _Envelope(g, A, m, weight_axis0).box
+    else:
+        def box_integral(box):
+            return _grid_box(g, A, box, m, weight_axis0)
+    # a shell beyond float range adds inf, which reads as growth; a weight
+    # below float range has the log -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        increments = [sum(map(box_integral, boxes))
                       for boxes in _shells(lows, cfg.truncation_schedule)]
     return _judge(cfg.truncation_schedule, increments)
 
@@ -435,13 +565,19 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
         offsets = np.array([[2.0 * float(off)] for _, off in g.pieces])
     else:
         rows, offsets = linear[None, :], np.zeros((1, 1))
+    # every box's stream is built before the first draw: built right after
+    # a box's samples have streamed through the caches, it costs ten times
+    # as much
+    seed = cfg.seed & 0xFFFFFFFF
+    streams = [[np.random.default_rng([seed, si, bi])
+                for bi in range(len(boxes))]
+               for si, boxes in enumerate(shells)]
     pts = np.empty((g.dimension, samples_per_box))
     block = np.empty((len(rows), min(_MC_CHUNK, samples_per_box)))
     increments = []
-    for si, boxes in enumerate(shells):
+    for boxes, rngs in zip(shells, streams):
         inc = 0.0
-        for bi, box in enumerate(boxes):
-            rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, si, bi])
+        for box, rng in zip(boxes, rngs):
             volume = 1.0
             for row, (a, b) in zip(pts, box):
                 # the values of rng.uniform(a, b, samples_per_box)

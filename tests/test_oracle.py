@@ -8,13 +8,17 @@ import pytest
 
 from nilcalc import oracle
 from nilcalc.lp import InputError
-from nilcalc.oracle import (CONVERGES, DIVERGES, MC_SAMPLES_LIMIT,
-                            POINCARE_AXIS_1, QUADRATURE_POINTS_LIMIT,
-                            OracleConfig, _envelope_box, _exp, _g_values,
-                            _grid_box, _judge, _shells,
-                            adjoint_weighted_integral, orthant_exp_integral,
-                            polydisk_mc, radial_power_integral)
+from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
+                            MC_SAMPLES_LIMIT, POINCARE_AXIS_1,
+                            QUADRATURE_POINTS_LIMIT, OracleConfig, _axis_grid,
+                            _blocks, _envelope_box, _Envelope, _exp,
+                            _g_values, _grid_box, _judge, _log_partial_sums,
+                            _shells, adjoint_weighted_integral,
+                            orthant_exp_integral, polydisk_mc,
+                            radial_power_integral)
 from nilcalc.toric import exp_integrable_shifted, power_product, pwl_min
+
+from envelope_reference import reference_partial_sums
 
 G_23 = pwl_min([((2, 0), 0), ((0, 3), 0)])
 G_M6 = pwl_min([((6, 0), 0), ((0, 6), 0)])
@@ -215,6 +219,84 @@ def test_envelope_kernel_on_a_short_flat_run():
     s0 = 1000 - F(1, 1000)
     g = pwl_min([((s0,), 0), ((0,), s0 * 3 * x1 / 2)])
     assert_kernels_agree(g, (1000.0,), [(0.0, 40.0)], m, False)
+
+
+AXES = [(0.0, 10.0), (0.0, 80.0), (10.0, 20.0), (40.0, 80.0), (1.0, 80.0)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 512, 5120])
+@pytest.mark.parametrize("interval", AXES)
+def test_partial_sums_agree_with_logaddexp(interval, m):
+    # graded axes start at 0; slope 20 on [40, 80] spans 800 > 600, so
+    # its rows run over several blocks
+    a0, b0 = interval
+    a = np.array([20.0, 7.5, 1e-9, 0.0, -3.0, -20.0])
+    for over_square in (False, True) if a0 > 0 else (False,):
+        x, w = _axis_grid(a0, b0, m, a0 == 0.0)
+        lw = np.log(w / np.square(x) if over_square else w)
+        for got, want in zip(_log_partial_sums(x, lw, a),
+                             reference_partial_sums(x, lw, a)):
+            assert np.array_equal(got == -np.inf, want == -np.inf)
+            finite = want > -np.inf
+            err = np.abs(got[finite] - want[finite])
+            assert (err <= 4e-13 * np.maximum(1.0, np.abs(want[finite]))
+                    ).all(), (interval, m, over_square, err.max())
+
+
+def test_partial_sums_over_zero_weights():
+    # a weight below float range (w / x^2 far out on a weighted axis) has
+    # the log -inf, which adds nothing to a sum
+    x = np.linspace(1.0, 40.0, 64)
+    lw = np.log(np.full(64, 0.5))
+    lw[40:] = -np.inf
+    a = np.array([3.0, 0.0, -3.0])
+    with np.errstate(divide="ignore"):
+        got = _log_partial_sums(x, lw, a)
+    for g, want in zip(got, reference_partial_sums(x, lw, a)):
+        assert np.array_equal(g == -np.inf, want == -np.inf)
+        finite = want > -np.inf
+        assert np.allclose(g[finite], want[finite], rtol=1e-13, atol=0)
+
+
+def test_blocks_bound_every_rows_span():
+    rng = random.Random(505)
+    several = 0
+    for _ in range(200):
+        a0 = rng.choice((0.0, 1.0, 10.0, 40.0))
+        x, w = _axis_grid(a0, a0 + rng.choice((1.0, 10.0, 40.0, 400.0)),
+                          rng.choice((2, 3, 64, 512)), a0 == 0.0)
+        lw = np.log(w)
+        slope = rng.choice((0.0, 0.5, 20.0, 300.0))
+        cuts = _blocks(x, float(lw.max() - lw.min()), slope)
+        assert cuts[0] == 0 and cuts[-1] == len(x)
+        assert all(s < e for s, e in zip(cuts, cuts[1:]))
+        several += len(cuts) > 2
+        for s, e in zip(cuts, cuts[1:]):
+            for a in (slope, -slope):
+                terms = lw[s:e] + a * x[s:e]
+                assert terms.max() - terms.min() < _BLOCK_SPAN
+    assert several > 20
+    # weights that alone span the limit put each node in its own block
+    assert _blocks(np.arange(4.0), _BLOCK_SPAN, 0.0) == [0, 1, 2, 3, 4]
+
+
+def test_one_call_shares_grids_and_partial_sums():
+    # the boxes of a call, integrated by one _Envelope that reuses its
+    # grids and partial sums, give each box's own integral bit for bit
+    rng = random.Random(606)
+    for trial in range(60):
+        n = 1 + trial % 3
+        weighted = trial % 4 == 3
+        g = random_toric(rng, n, power=False)
+        A = tuple(rng.randint(0, 24) / 4 for _ in range(n))
+        m = rng.choice((2, 9, 33))
+        lows = [1.0 if weighted else 0.0] + [0.0] * (n - 1)
+        env = _Envelope(g, A, m, weighted)
+        for boxes in _shells(lows, (10.0, 20.0, 40.0, 80.0)):
+            for box in boxes:
+                with np.errstate(over="ignore"):  # a box beyond float range
+                    assert env.box(box) == _envelope_box(g, A, box, m,
+                                                         weighted)
 
 
 def test_orthant_3d_at_default_settings():
