@@ -1,9 +1,9 @@
 """Numerical convergence oracles for the exponential integrals.
 
 Everything here is floating point and everything exact lives elsewhere;
-the oracle is an independent cross-check, never an authority.  All
-three integrals are truncated to a growing schedule of boxes and the
-verdict is read off the increments between consecutive truncations:
+the oracle is an independent cross-check, never an authority.  Every
+integral is truncated to a growing schedule of boxes and the verdict is
+read off the increments between consecutive truncations:
 
 * geometric decay of the increments (ratio below
   CONVERGENCE_RATIO_THRESHOLD on every step) reads as Converges,
@@ -13,29 +13,27 @@ verdict is read off the increments between consecutive truncations:
   ALGEBRAIC_DECAY_THRESHOLD and a negligible final increment) also
   read as Converges -- this is the regime of the 1/t_1^2-weighted
   integrals, whose tails decay like 1/T rather than exponentially,
-* anything else is Inconclusive.
+* anything else is Inconclusive, and so are a NaN increment and
+  decaying increments whose total is infinite.
 
-The orthant and weighted integrals use the trapezoid rule on a tensor
-grid of quadrature_points_per_axis nodes per axis and shell box (graded
-towards 0 on axes starting there).  For a minimum of linear forms the
-integrand is the exponential of a minimum of affine pieces, so the same
-sum is taken in closed form along the last axis, piece by piece, from
-per-piece partial sums (`_envelope_box`); power products are summed
-over the grid itself (`_grid_box`), which is also the tests' reference.
-The partial sums are cumulative sums of exponentials scaled block by
-block (`_log_cumsum`), and one call builds each axis grid and each set of
-partial sums once for all the shell boxes that share its interval
-(`_Envelope`).
+The orthant, weighted and radial integrals (the last being the
+one-variable integral of the weight k t over [log 2, inf)) use the
+trapezoid rule on a tensor grid of quadrature_points_per_axis nodes per
+axis and shell box, graded towards 0 on axes starting there.  The
+dimension decides how the grid is summed: in one variable, and for power
+products, over the grid itself (`_grid_box`, also the tests' reference);
+in more, a minimum of linear forms in closed form along the last axis
+from per-piece partial sums (`_Envelope`), built once per last-axis
+interval of a call as cumulative sums scaled block by block.
 
 The polydisk integral is estimated by Monte Carlo.  Each shell box's
 samples are drawn into one preallocated array and evaluated in blocks of
 _MC_CHUNK samples small enough to stay in cache: for a minimum of linear
 forms the exponent of a block is one small matrix product and a minimum
-over its rows.  These blocks, the tensor grid and the radial integral
-exponentiate through `_exp`, which equals np.exp(np.minimum(x, 700)) bit
-for bit but keeps numpy's exp on its vector path: arguments below
-_EXP_FAST, where np.exp turns to a slow scalar path, become 0.0 or are
-computed one by one.
+over its rows.  These blocks and the tensor grid exponentiate through
+`_exp`, which equals np.exp(np.minimum(x, 700)) bit for bit but keeps
+numpy's exp on its vector path: arguments below _EXP_FAST, where np.exp
+turns to a slow scalar path, become 0.0 or are computed one by one.
 
 Estimates are deterministic functions of the config (including the
 Monte Carlo routine, whose streams are keyed by seed, shell and box).
@@ -43,6 +41,7 @@ Monte Carlo routine, whose streams are keyed by seed, shell and box).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,11 +108,8 @@ class ConvergenceVerdict:
 
 def _judge(schedule: Sequence[float],
            increments: Sequence[float]) -> ConvergenceVerdict:
-    partials = []
-    total = 0.0
-    for t, inc in zip(schedule, increments):
-        total += inc
-        partials.append((t, total))
+    partials = tuple(zip(schedule, itertools.accumulate(increments)))
+    total = partials[-1][1]
     ratios = []
     for prev, cur in zip(increments, increments[1:]):
         if cur == math.inf:
@@ -127,7 +123,9 @@ def _judge(schedule: Sequence[float],
     evidence: Dict[str, object] = {"increments": tuple(increments),
                                    "ratios": tuple(ratios)}
     grow = DIVERGENCE_GROWTH_THRESHOLD
-    if all(r <= CONVERGENCE_RATIO_THRESHOLD for r in ratios):
+    if any(math.isnan(inc) for inc in increments):
+        verdict, rule = INCONCLUSIVE, "NaN increment"
+    elif all(r <= CONVERGENCE_RATIO_THRESHOLD for r in ratios):
         verdict, rule = CONVERGES, "geometric decay"
     elif all(r >= grow for r in ratios) or (
             # the first increment is the base box, not a tail shell; a
@@ -139,8 +137,10 @@ def _judge(schedule: Sequence[float],
         verdict, rule = CONVERGES, "algebraic decay"
     else:
         verdict, rule = INCONCLUSIVE, "mixed increment behaviour"
+    if verdict == CONVERGES and total == math.inf:
+        verdict, rule = INCONCLUSIVE, "decay to an infinite total"
     evidence["rule"] = rule
-    return ConvergenceVerdict(verdict, tuple(partials), evidence)
+    return ConvergenceVerdict(verdict, partials, evidence)
 
 
 def _shell_boxes(lows: Sequence[float], prev: float, cur: float
@@ -224,29 +224,22 @@ def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
     n = len(box)
     axes = []
     for i, (a, b) in enumerate(box):
-        grade = a == 0.0
-        x, w = _axis_grid(a, b, m, grade)
         shape = [1] * n
         shape[i] = m
-        axes.append((x.reshape(shape), w.reshape(shape)))
+        axes.append([v.reshape(shape) for v in _axis_grid(a, b, m, a == 0.0)])
     # chunk along axis 0 to bound memory for n = 3
-    x0, w0 = axes[0]
-    rest = axes[1:]
-    per_row = m ** (n - 1)
-    rows_per_chunk = max(1, _GRID_CHUNK // max(per_row, 1))
+    rows = max(1, _GRID_CHUNK // m ** (n - 1))
     total = 0.0
-    for start in range(0, m, rows_per_chunk):
-        stop = min(m, start + rows_per_chunk)
-        coords = [x0[start:stop]] + [x for x, _ in rest]
-        gv = _g_values(g, coords)
-        expo = 2.0 * gv
-        for Ai, (x, _) in zip(A, [(x0[start:stop], None)] + rest):
+    for start in range(0, m, rows):
+        xs = [axes[0][0][start:start + rows]] + [x for x, _ in axes[1:]]
+        expo = 2.0 * _g_values(g, xs)
+        for Ai, x in zip(A, xs):
             expo = expo - 2.0 * Ai * x
         vals = _exp(expo, out=expo)
         if weight_axis0:
-            vals = vals / np.square(x0[start:stop])
-        wprod = w0[start:stop]
-        for _, w in rest:
+            vals = vals / np.square(xs[0])
+        wprod = axes[0][1][start:start + rows]
+        for _, w in axes[1:]:
             wprod = wprod * w
         total += float(np.sum(vals * wprod))
     return total
@@ -316,10 +309,21 @@ def _log_partial_sums(x: np.ndarray, lw: np.ndarray, a: np.ndarray
 
 
 class _Envelope:
-    """`_envelope_box` for every box of one call: the pieces as float
-    rows sorted once, and the axis grids, the kept pieces' arrays and the
-    last-axis partial sums built once per distinct interval or set of
-    kept pieces, for the life of the call."""
+    """_grid_box for a minimum of affine pieces: the same nodes, weights
+    and clamp, summed in closed form along the last axis.
+
+    The exponent min(2(g - <A, x>), 700) is the minimum of the pieces
+    c_k + <a_k, x>, the clamp being the piece (a = 0, c = 700).  On each
+    row of the grid (a node of the other axes) the pieces are lines in
+    the last coordinate with the same slopes a_k, so every piece is
+    active on one run of consecutive nodes, and its share of the row is
+    e^{c_row,k} times a difference of partial sums of w_j e^{a_k x_j},
+    which do not depend on the row.  The partial sums are scaled
+    cumulative sums (`_log_cumsum`), and only the (piece, row) pairs
+    whose run is not empty reach log, expm1 and exp.  One instance
+    builds the axis grids and partial sums once per interval, and the
+    kept pieces' arrays once per set, for all the boxes of a call.
+    """
 
     def __init__(self, g: PiecewiseLinearMin, A: Tuple[float, ...], m: int,
                  weight_axis0: bool):
@@ -348,7 +352,7 @@ class _Envelope:
         return grid
 
     def _pieces(self, keep: tuple) -> tuple:
-        """Slopes, constants and inverse last-slope gaps of kept pieces."""
+        """Arrays of the kept pieces and the offsets of their sums."""
         kept = self.kept.get(keep)
         if kept is None:
             slopes = np.array([self.rows[k][0] for k in keep])
@@ -356,23 +360,23 @@ class _Envelope:
             a = slopes[:, -1]
             da = a[:, None] - a[None, :]
             inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
-            kept = self.kept[keep] = slopes, consts, da, inv
+            starts = np.array(keep) * (self.m + 1)
+            kept = self.kept[keep] = slopes, consts, da, inv, starts
         return kept
 
-    def _partial_sums(self, interval: Tuple[float, float], keep: tuple,
-                      a: np.ndarray) -> tuple:
-        """The last-axis nodes and `_log_partial_sums` of the kept pieces,
+    def _partial_sums(self, interval: Tuple[float, float]) -> tuple:
+        """The last-axis nodes and every piece's `_log_partial_sums`,
         head and tail flattened."""
-        key = (interval, keep)
-        sums = self.sums.get(key)
+        sums = self.sums.get(interval)
         if sums is None:
             x, _, lw = self._grid(self.n - 1, *interval)
-            head, tail = _log_partial_sums(x, lw, a)
-            sums = self.sums[key] = x, head.ravel(), tail.ravel()
+            head, tail = _log_partial_sums(
+                x, lw, np.array([slope[-1] for slope, _ in self.rows]))
+            sums = self.sums[interval] = x, head.ravel(), tail.ravel()
         return sums
 
     def box(self, box: Sequence[Tuple[float, float]]) -> float:
-        """The box's integral; see `_envelope_box`."""
+        """The box's integral."""
         n, m = len(box), self.m
         # a piece that stays above another piece's maximum on the box is
         # never the least one there (this drops the clamp on most boxes)
@@ -383,10 +387,9 @@ class _Envelope:
             most.append(c + sum(max(e) for e in ends))
         top = min(most)
         keep = tuple(k for k, v in enumerate(least) if v <= top)
-        slopes, consts, da, inv = self._pieces(keep)
+        slopes, consts, da, inv, starts = self._pieces(keep)
         K = len(keep)
-        x, head, tail = self._partial_sums(tuple(box[-1]), keep,
-                                           slopes[:, -1])
+        x, head, tail = self._partial_sums(tuple(box[-1]))
         lead = [self._grid(i, a, b)[:2] for i, (a, b) in enumerate(box[:-1])]
         rows = max(1, _ENVELOPE_CHUNK // (K * m ** max(n - 2, 0)))
         total = 0.0
@@ -422,8 +425,7 @@ class _Envelope:
             # loses at most about log10(m) digits
             k, r = np.nonzero(hi > lo)
             # as indices into the flattened partial sums
-            at = k * (m + 1)
-            lo, hi = at + lo[k, r], at + hi[k, r]
+            lo, hi = starts[k] + lo[k, r], starts[k] + hi[k, r]
             hl, th = head[lo], tail[hi]
             first = hl <= th
             small = np.where(first, hl, th)
@@ -434,33 +436,27 @@ class _Envelope:
         return total
 
 
-def _envelope_box(g: PiecewiseLinearMin, A: Tuple[float, ...],
-                  box: Sequence[Tuple[float, float]], m: int,
-                  weight_axis0: bool) -> float:
-    """_grid_box for a minimum of affine pieces: the same nodes, weights
-    and clamp, summed in closed form along the last axis.
-
-    The exponent min(2(g - <A, x>), 700) is the minimum of the pieces
-    c_k + <a_k, x>, the clamp being the piece (a = 0, c = 700).  On each
-    row of the grid (a node of the other axes) the pieces are lines in
-    the last coordinate with the same slopes a_k, so every piece is
-    active on one run of consecutive nodes, and its share of the row is
-    e^{c_row,k} times a difference of partial sums of w_j e^{a_k x_j},
-    which do not depend on the row.  The partial sums are scaled
-    cumulative sums (`_log_cumsum`), and only the (piece, row) pairs
-    whose run is not empty reach log, expm1 and exp.  `_Envelope` holds
-    what the boxes of one call share.
-    """
-    return _Envelope(g, A, m, weight_axis0).box(box)
-
-
-def _validate_shift(g: ConcaveToricFunction, A: Sequence) -> Tuple[float, ...]:
+def _validate_shift(g: ConcaveToricFunction, A: Sequence
+                    ) -> Tuple[Fraction, ...]:
     Av = fvec(A)
     if len(Av) != g.dimension:
         raise InputError("dimension mismatch between g and A")
     if any(a < 0 for a in Av):
         raise InputError("A must be componentwise >= 0")
-    return tuple(float(a) for a in Av)
+    return Av
+
+
+def _floats(g: ConcaveToricFunction, values: Sequence) -> Tuple[float, ...]:
+    """The values as floats; InputError where one of them or of g's
+    coefficients is beyond float range, so that float() overflows."""
+    coefficients = ([c for slope, off in g.pieces for c in (*slope, off)]
+                    if isinstance(g, PiecewiseLinearMin) else [g.scale])
+    for v in (*values, *coefficients):
+        try:
+            float(v)
+        except OverflowError:
+            raise InputError(f"{v} is beyond float range") from None
+    return tuple(float(v) for v in values)
 
 
 def _shells(lows: Sequence[float], schedule: Sequence[float]
@@ -475,14 +471,15 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
                         weight_axis0: bool) -> ConvergenceVerdict:
     """Verdict read off the quadrature of each shell of the schedule."""
     m = cfg.quadrature_points_per_axis
-    if isinstance(g, PiecewiseLinearMin):
+    if isinstance(g, PiecewiseLinearMin) and g.dimension > 1:
         box_integral = _Envelope(g, A, m, weight_axis0).box
     else:
         def box_integral(box):
             return _grid_box(g, A, box, m, weight_axis0)
     # a shell beyond float range adds inf, which reads as growth; a weight
-    # below float range has the log -inf
-    with np.errstate(over="ignore", divide="ignore"):
+    # below float range has the log -inf, and 0 * inf makes a NaN
+    # increment, which reads as Inconclusive
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         increments = [sum(map(box_integral, boxes))
                       for boxes in _shells(lows, cfg.truncation_schedule)]
     return _judge(cfg.truncation_schedule, increments)
@@ -492,7 +489,7 @@ def orthant_exp_integral(g: ConcaveToricFunction, A: Sequence,
                          cfg: OracleConfig = OracleConfig()
                          ) -> ConvergenceVerdict:
     """Verdict for the integral of e^{2(g(x) - <A, x>)} over the orthant."""
-    Af = _validate_shift(g, A)
+    Af = _floats(g, _validate_shift(g, A))
     return _quadrature_verdict(g, Af, [0.0] * g.dimension, cfg,
                                weight_axis0=False)
 
@@ -502,15 +499,16 @@ def adjoint_weighted_integral(g: ConcaveToricFunction, A: Sequence, eps,
                               ) -> ConvergenceVerdict:
     """Verdict for the integral of e^{2((1+eps)g(t) - <A, t>)} / t_1^2
     over [1, inf) x orthant."""
-    Af = _validate_shift(g, A)
+    Av = _validate_shift(g, A)
     ef = frac(eps)
     if ef < 0:
         raise InputError("eps must be >= 0")
     if cfg.truncation_schedule[0] <= 1.0:
         raise InputError("truncation schedule must exceed 1")
+    scaled = _scale_function(g, 1 + ef)
+    Af = _floats(scaled, Av + (ef,))[:-1]
     lows = [1.0] + [0.0] * (g.dimension - 1)
-    return _quadrature_verdict(_scale_function(g, 1 + ef), Af, lows, cfg,
-                               weight_axis0=True)
+    return _quadrature_verdict(scaled, Af, lows, cfg, weight_axis0=True)
 
 
 def _scale_function(g: ConcaveToricFunction,
@@ -555,7 +553,7 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
         raise InputError("truncation schedule must exceed log 2")
     shells = _shells([lo] * g.dimension, cfg.truncation_schedule)
     samples_per_box = max(1, cfg.mc_samples // sum(map(len, shells)))
-    linear = np.array([-2.0 * float(b) - 2.0 for b in bv])
+    linear = np.array([-2.0 * b - 2.0 for b in _floats(g, bv)])
     poincare = weight == POINCARE_AXIS_1
     if poincare:
         linear[0] += 2.0
@@ -610,18 +608,17 @@ def radial_power_integral(k, beta,
     """One-variable membership integral for the weight k * t.
 
     In t = -log r the integral of r^{2 beta + 1} r^{-2k} dr over
-    (0, 1/2] becomes the integral of e^{(2k - 2 beta - 2) t} over
+    (0, 1/2] becomes the integral of e^{2(k t - (beta + 1) t)} over
     [log 2, inf), so x^beta is a member exactly when beta + 1 > k.
     """
     kf, bf = frac(k), frac(beta)
+    if kf <= 0:
+        raise InputError("k must be positive")
     if bf < 0 or bf.denominator != 1:
         raise InputError("beta must be a natural number")
-    rate = 2.0 * float(kf) - 2.0 * float(bf) - 2.0
     lo = float(np.log(2.0))
-    increments = []
-    prev = lo
-    for t in cfg.truncation_schedule:
-        x, w = _axis_grid(prev, t, cfg.quadrature_points_per_axis, False)
-        increments.append(float(np.sum(_exp(rate * x) * w)))
-        prev = t
-    return _judge(cfg.truncation_schedule, increments)
+    if cfg.truncation_schedule[0] <= lo:
+        raise InputError("truncation schedule must exceed log 2")
+    g = PiecewiseLinearMin((((kf,), Fraction(0)),))
+    return _quadrature_verdict(g, _floats(g, (bf + 1,)), [lo], cfg,
+                               weight_axis0=False)

@@ -1,6 +1,6 @@
 """The reference for `oracle._log_partial_sums`: the last-axis log
-partial sums as `oracle._envelope_box` took them before they became
-scaled cumulative sums, one `np.logaddexp.accumulate` per direction."""
+partial sums as `oracle._Envelope` took them before they became scaled
+cumulative sums, one `np.logaddexp.accumulate` per direction."""
 
 import numpy as np
 

@@ -462,6 +462,57 @@ def test_radial_beta_must_be_natural():
     assert "natural" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the first box is [log 2, T_1]: reversed at T_1 = 1/2
+    (RADIAL + ("2", "--schedule", "0.5,1,2"),
+     "truncation schedule must exceed log 2"),
+    (("oracle", "--op", "radial", "--k", "0", "--beta", "2"),
+     "k must be positive"),
+    (("oracle", "--op", "radial", "--k", "-3", "--beta", "2"),
+     "k must be positive"),
+])
+def test_radial_checks_its_inputs(argv, message):
+    assert invoke(*argv) == (2, "", f"error: {message}\n")
+
+
+BIG = "1" + "0" * 400  # beyond float range, about 1.8e308
+
+
+@pytest.mark.parametrize("op", [
+    ("--op", "orthant", "--toric", "min(x)", "--shift", BIG),
+    ("--op", "radial", "--k", BIG, "--beta", "2"),
+    ("--op", "weighted", "--toric", "min(x)", "--shift", "1", "--eps", BIG),
+    ("--op", "weighted", "--toric", f"min({BIG}*x, y)", "--shift", "1,1"),
+    ("--op", "orthant", "--toric", f"power({BIG}; 1/2)", "--shift", "1"),
+    ("--op", "polydisk", "--toric", f"min({BIG}*x)", "--beta", "0"),
+    ("--op", "polydisk", "--toric", "min(x)", "--beta", BIG),
+])
+def test_oracle_rationals_beyond_float_range(op):
+    assert invoke("oracle", *op) == (
+        2, "", f"error: {BIG} is beyond float range\n")
+
+
+# e^{2(min(x, 2y) - <A, t>)} / x^2 on boxes out to 1e180: the weights
+# underflow and the grid overflows, so the increments are NaN (A = 0)
+# or decay to an infinite total (A = 1)
+FAR_WEIGHTED = ("oracle", "--op", "weighted", "--toric", "min(x, 2*y)",
+                "--schedule", "1e160,1e170,1e180", "--points", "64",
+                "--format", "json", "--shift")
+
+
+@pytest.mark.parametrize("shift, rule", [
+    ("0,0", "NaN increment"), ("1,1", "decay to an infinite total")])
+def test_oracle_non_finite_increments_read_inconclusive(shift, rule):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarnings included
+        code, out, err = invoke(*FAR_WEIGHTED, shift)
+        assert (code, err) == (0, "")
+        answer = json.loads(out)
+        assert answer["result"]["verdict"] == "Inconclusive"
+        assert answer["certificates"]["rule"] == rule
+        assert invoke(*FAR_WEIGHTED, shift, "--strict") == (4, out, "")
+
+
 @pytest.mark.parametrize("flag", ["--points", "--samples"])
 def test_oracle_zero_points_and_samples(flag):
     # each setting to an op that reads it, so OracleConfig refuses the 0

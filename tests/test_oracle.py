@@ -11,7 +11,7 @@ from nilcalc.lp import InputError
 from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
                             MC_SAMPLES_LIMIT, POINCARE_AXIS_1,
                             QUADRATURE_POINTS_LIMIT, OracleConfig, _axis_grid,
-                            _blocks, _envelope_box, _Envelope, _exp,
+                            _blocks, _Envelope, _exp,
                             _g_values, _grid_box, _judge, _log_partial_sums,
                             _shells, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
@@ -153,6 +153,13 @@ def test_radial_power_integral_checks_its_inputs():
             radial_power_integral(k, beta, FAST)
     # rationals come as ints, "p/q" strings or Fractions
     assert radial_power_integral("5/2", F(2), FAST).verdict == CONVERGES
+    for k in (0, -3):
+        with pytest.raises(InputError, match="k must be positive"):
+            radial_power_integral(k, 2, FAST)
+    # the first box is [log 2, T_1]; at T_1 = 1/2 it would be reversed
+    with pytest.raises(InputError, match="must exceed log 2"):
+        radial_power_integral(F(5, 2), 2, OracleConfig(
+            truncation_schedule=(0.5, 1, 2)))
 
 
 def test_input_validation():
@@ -175,7 +182,7 @@ def assert_kernels_agree(g, A, box, m, weighted):
     # the closed-form sum along the last axis against the tensor grid
     # that power products use, on the same nodes and weights
     want = _grid_box(g, A, box, m, weighted)
-    got = _envelope_box(g, A, box, m, weighted)
+    got = _Envelope(g, A, m, weighted).box(box)
     if want >= 1e-280:
         assert abs(got - want) <= 1e-12 * want, (g, A, box, m, weighted)
     else:
@@ -295,8 +302,63 @@ def test_one_call_shares_grids_and_partial_sums():
         for boxes in _shells(lows, (10.0, 20.0, 40.0, 80.0)):
             for box in boxes:
                 with np.errstate(over="ignore"):  # a box beyond float range
-                    assert env.box(box) == _envelope_box(g, A, box, m,
-                                                         weighted)
+                    assert env.box(box) == _Envelope(g, A, m,
+                                                     weighted).box(box)
+
+
+def grid_partials(g, A, lows, cfg, weighted):
+    """The partial values of summing `_grid_box` over `_shells`."""
+    total, partials = 0.0, []
+    for boxes in _shells(lows, cfg.truncation_schedule):
+        total += sum(_grid_box(g, A, box, cfg.quadrature_points_per_axis,
+                               weighted) for box in boxes)
+        partials.append(total)
+    return partials
+
+
+def test_one_variable_calls_are_the_grid_quadrature():
+    # orthant, weighted and radial calls in one variable sum the grid of
+    # each shell box, bit for bit
+    rng = random.Random(909)
+    for trial in range(40):
+        cfg = OracleConfig(quadrature_points_per_axis=rng.choice((2, 64,
+                                                                  512)))
+        g = random_toric(rng, 1, power=trial % 4 == 3)
+        A = F(rng.randint(0, 40), 4)
+        got = orthant_exp_integral(g, (A,), cfg)
+        want = grid_partials(g, (float(A),), [0.0], cfg, False)
+        assert [p for _, p in got.partial_values] == want, (g, A)
+        eps = F(rng.randint(0, 4), 4)
+        got = adjoint_weighted_integral(g, (A,), eps, cfg)
+        want = grid_partials(oracle._scale_function(g, 1 + eps),
+                             (float(A),), [1.0], cfg, True)
+        assert [p for _, p in got.partial_values] == want, (g, A, eps)
+        k, beta = F(rng.randint(1, 24), 4), rng.randint(0, 5)
+        got = radial_power_integral(k, beta, cfg)
+        want = grid_partials(pwl_min([((k,), 0)]), (float(beta + 1),),
+                             [math.log(2.0)], cfg, False)
+        assert [p for _, p in got.partial_values] == want, (k, beta)
+
+
+def test_envelope_builds_partial_sums_once_per_interval(monkeypatch):
+    # the 22 boxes of a 3-variable orthant call on the default schedule
+    # have 6 distinct last-axis intervals: [0, 10], [10, 20], [0, 20],
+    # [20, 40], [0, 40] and [40, 80]
+    made = []
+
+    class Recorded(_Envelope):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+    monkeypatch.setattr(oracle, "_Envelope", Recorded)
+    rng = random.Random(1010)
+    cfg = OracleConfig(quadrature_points_per_axis=9)
+    for _ in range(40):
+        g = random_toric(rng, 3, power=False)
+        A = tuple(F(rng.randint(0, 24), 4) for _ in range(3))
+        orthant_exp_integral(g, A, cfg)
+    assert len(made) == 40
+    assert {len(env.sums) for env in made} == {6}
 
 
 def test_orthant_3d_at_default_settings():
