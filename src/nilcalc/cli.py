@@ -423,3 +423,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -132,40 +132,33 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(ideal.dimension, ideal.generators)
 
 
-def _walk_box(ranges: Sequence[range], visit) -> None:
-    """Calls visit(point, rank) on the points of the box prod ranges in
-    lexicographic order, rank the place of the point in that order, for
-    a visit whose False points are upward closed: it skips only points
-    above one where visit returned False.
+def _walk_box(ranges: Sequence[range], visit, prefix: Tuple[int, ...] = (),
+              k: int = 0) -> bool:
+    """Calls visit(point, rank) on the points of the box prod ranges that
+    extend prefix, in lexicographic order, rank the place of the point in
+    that order (k that of the first), for a visit whose False points are
+    upward closed: it skips only points above one where visit returned
+    False.  Returns False iff visit returned False on the first point.
 
     Once a coordinate's subtree (the points with that coordinate's value
     and the coordinates before it fixed) gets False at its first point,
     the rest of that coordinate is skipped, so the cost follows the
-    region below the False points, not the box.
-    """
-    if ranges:
-        strides = [prod(map(len, ranges[i + 1:])) for i in range(len(ranges))]
-        _walk_subtree(ranges, strides, visit, (), 0)
-    else:
-        visit((), 0)
-
-
-def _walk_subtree(ranges: Sequence[range], strides: Sequence[int], visit,
-                  prefix: Tuple[int, ...], k: int) -> bool:
-    """`_walk_box` on the points extending prefix, the first at rank k;
-    False iff visit returned False on the first.  (A module function, not
+    region below the False points, not the box.  (A module function, not
     a recursive closure, whose reference cycle would hold the visit's
-    state until the next garbage collection.)"""
+    state until the next garbage collection.)
+    """
     i = len(prefix)
-    if i < len(ranges) - 1:
-        for j, b in enumerate(ranges[i]):
-            if not _walk_subtree(ranges, strides, visit, prefix + (b,),
-                                 k + j * strides[i]):
-                return j > 0
-    else:
+    if i == len(ranges):  # a box of dimension 0
+        return visit(prefix, k)
+    if i == len(ranges) - 1:
         for j, b in enumerate(ranges[i]):
             if not visit(prefix + (b,), k + j):
                 return j > 0
+        return True
+    stride = prod(map(len, ranges[i + 1:]))
+    for j, b in enumerate(ranges[i]):
+        if not _walk_box(ranges, visit, prefix + (b,), k + j * stride):
+            return j > 0
     return True
 
 

@@ -13,8 +13,9 @@ read off the increments between consecutive truncations:
   ALGEBRAIC_DECAY_THRESHOLD and a negligible final increment) also
   read as Converges -- this is the regime of the 1/t_1^2-weighted
   integrals, whose tails decay like 1/T rather than exponentially,
-* anything else is Inconclusive, and so are a NaN increment and
-  decaying increments whose total is infinite.
+* anything else is Inconclusive, and so are a NaN increment, decaying
+  increments whose total is infinite, and a grid too coarse for the
+  integrand (a node step changing the exponent by more than 700).
 
 The orthant, weighted and radial integrals (the last being the
 one-variable integral of the weight k t over [log 2, inf)) use the
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -127,10 +128,10 @@ def _judge(schedule: Sequence[float],
         verdict, rule = INCONCLUSIVE, "NaN increment"
     elif all(r <= CONVERGENCE_RATIO_THRESHOLD for r in ratios):
         verdict, rule = CONVERGES, "geometric decay"
-    elif all(r >= grow for r in ratios) or (
-            # the first increment is the base box, not a tail shell; a
-            # tail that stopped shrinking still reads as divergence
-            len(ratios) >= 2 and all(r >= grow for r in ratios[1:])):
+    elif all(r >= grow for r in ratios[1:]):
+        # the first increment is the base box, not a tail shell; a tail
+        # that stopped shrinking still reads as divergence (a schedule
+        # has at least 3 boxes, so there is a tail ratio)
         verdict, rule = DIVERGES, "sustained growth"
     elif (all(r <= ALGEBRAIC_DECAY_THRESHOLD for r in ratios)
           and total > 0.0 and increments[-1] <= 0.1 * total):
@@ -459,6 +460,13 @@ def _floats(g: ConcaveToricFunction, values: Sequence) -> Tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _widest_step(a: float, b: float, m: int) -> float:
+    """The widest step between the `_axis_grid` nodes of [a, b], whose
+    last step is the widest where they are graded towards a = 0."""
+    step = (b - a) / (m - 1)
+    return step * (2 * m - 3) / (m - 1) if a == 0.0 else step
+
+
 def _shells(lows: Sequence[float], schedule: Sequence[float]
             ) -> List[List[List[Tuple[float, float]]]]:
     """The boxes of each shell between consecutive truncations."""
@@ -476,13 +484,26 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
     else:
         def box_integral(box):
             return _grid_box(g, A, box, m, weight_axis0)
+    shells = _shells(lows, cfg.truncation_schedule)
     # a shell beyond float range adds inf, which reads as growth; a weight
     # below float range has the log -inf, and 0 * inf makes a NaN
     # increment, which reads as Inconclusive
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        increments = [sum(map(box_integral, boxes))
-                      for boxes in _shells(lows, cfg.truncation_schedule)]
-    return _judge(cfg.truncation_schedule, increments)
+        increments = [sum(map(box_integral, boxes)) for boxes in shells]
+    verdict = _judge(cfg.truncation_schedule, increments)
+    # the exponent's affine part, 2(s_k - A) or -2A for a power product,
+    # changes by up to rates[i] per unit along axis i; where one node step
+    # changes it by more than the clamp 700, the sum means nothing
+    slopes = ([s for s, _ in g.pieces] if isinstance(g, PiecewiseLinearMin)
+              else [(0,) * len(A)])
+    rates = [max(abs(2.0 * (float(s[i]) - Ai)) for s in slopes)
+             for i, Ai in enumerate(A)]
+    if verdict.verdict in (CONVERGES, DIVERGES) and any(
+            rate * _widest_step(a, b, m) > 700.0 for boxes in shells
+            for box in boxes for rate, (a, b) in zip(rates, box)):
+        verdict.evidence["rule"] = "grid coarser than the integrand"
+        return replace(verdict, verdict=INCONCLUSIVE)
+    return verdict
 
 
 def orthant_exp_integral(g: ConcaveToricFunction, A: Sequence,

@@ -6,13 +6,17 @@ ideal and `0` the zero ideal.  Toric functions are written
 `min(2*x + 3*y, x + 1/2, ...)` or `power(k; a1, ..., an)`.  Variables
 are taken in order of first appearance unless an explicit name list is
 supplied.  Parse errors carry the line, column and offending token.
+Three rules read the grammar: `_Tokens.take` reads a token of one kind
+or raises the kind it expected, `_Tokens.separated` reads a separated
+list, and `_summed` adds exponents and coefficients per variable.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple
 
 from .lp import InputError
 from .ideals import MonomialIdeal, minimalize
@@ -46,26 +50,38 @@ class _Tokens:
     def peek(self) -> Optional[str]:
         return self.items[self.pos][0] if self.pos < len(self.items) else None
 
-    def location(self) -> Tuple[int, int, str]:
+    def error(self, message: str) -> ParseError:
+        """message at the next token, or just past the last one."""
         if self.pos < len(self.items):
             tok, ln, col = self.items[self.pos]
-            return ln, col, tok
+            return ParseError(message, ln, col, tok)
         if self.items:
             tok, ln, col = self.items[-1]
-            return ln, col + len(tok), ""
-        return 1, 1, ""
+            return ParseError(message, ln, col + len(tok))
+        return ParseError(message)
 
-    def error(self, message: str) -> ParseError:
-        ln, col, tok = self.location()
-        return ParseError(message, ln, col, tok)
+    def take(self, ok: Callable[[str], object], message: str) -> str:
+        """The next token if ok accepts it, else message raised at it."""
+        tok = self.peek()
+        if tok is None or not ok(tok):
+            raise self.error("unexpected end of input" if tok is None
+                             else message)
+        self.pos += 1
+        return tok
+
+    def separated(self, item: Callable[[], object], separator: str) -> list:
+        """item() once, and again after each separator."""
+        items = [item()]
+        while self.peek() == separator:
+            self.pos += 1
+            items.append(item())
+        return items
 
     def next(self, expected: Optional[str] = None) -> str:
-        if self.pos >= len(self.items):
+        tok = self.peek()
+        if tok is None or expected not in (None, tok):
             raise self.error("unexpected end of input" if expected is None
                              else f"expected {expected!r}")
-        tok = self.items[self.pos][0]
-        if expected is not None and tok != expected:
-            raise self.error(f"expected {expected!r}")
         self.pos += 1
         return tok
 
@@ -89,7 +105,9 @@ class _Names:
         if len(set(self.names)) != len(self.names):
             raise InputError("duplicate variable names")
 
-    def index(self, name: str, tokens: _Tokens) -> int:
+    def take(self, tokens: _Tokens) -> int:
+        """The index of the variable the next token names."""
+        name = tokens.take(_is_name, "expected a variable name")
         if name in self.names:
             return self.names.index(name)
         if self.fixed:
@@ -102,8 +120,12 @@ def _is_name(tok: Optional[str]) -> bool:
     return tok is not None and re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok)
 
 
-def _is_natural(tok: Optional[str]) -> bool:
-    return tok is not None and tok.isdigit()
+def _summed(terms: Iterable[tuple]) -> dict:
+    """The values of the (key, value) terms added up per key."""
+    sums: dict = {}
+    for key, value in terms:
+        sums[key] = sums.get(key, 0) + value
+    return sums
 
 
 def _parse_rational(tokens: _Tokens) -> Fraction:
@@ -111,18 +133,11 @@ def _parse_rational(tokens: _Tokens) -> Fraction:
     while tokens.peek() in ("+", "-"):
         if tokens.next() == "-":
             sign = -sign
-    num = tokens.next()
-    if not _is_natural(num):
-        tokens.pos -= 1
-        raise tokens.error("expected a number")
-    value = Fraction(int(num))
+    value = Fraction(int(tokens.take(str.isdecimal, "expected a number")))
     if tokens.peek() == "/":
         tokens.next()
-        den = tokens.next()
-        if not _is_natural(den) or int(den) == 0:
-            tokens.pos -= 1
-            raise tokens.error("expected a positive denominator")
-        value /= int(den)
+        value /= int(tokens.take(lambda t: t.isdecimal() and int(t) > 0,
+                                 "expected a positive denominator"))
     return sign * value
 
 
@@ -133,29 +148,21 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
+def _parse_factor(tokens: _Tokens, names: _Names) -> Tuple[int, int]:
+    """`var` or `var^natural` as (variable index, exponent)."""
+    idx = names.take(tokens)
+    if tokens.peek() != "^":
+        return idx, 1
+    tokens.next()
+    return idx, int(tokens.take(str.isdecimal, "expected a natural exponent"))
+
+
 def _parse_monomial_exponents(tokens: _Tokens, names: _Names) -> dict:
     if tokens.peek() == "1":
         tokens.next()
         return {}
-    exps: dict = {}
-    while True:
-        name = tokens.next()
-        if not _is_name(name):
-            tokens.pos -= 1
-            raise tokens.error("expected a variable name")
-        idx = names.index(name, tokens)
-        power = 1
-        if tokens.peek() == "^":
-            tokens.next()
-            p = tokens.next()
-            if not _is_natural(p):
-                tokens.pos -= 1
-                raise tokens.error("expected a natural exponent")
-            power = int(p)
-        exps[idx] = exps.get(idx, 0) + power
-        if tokens.peek() != "*":
-            return exps
-        tokens.next()
+    return _summed(tokens.separated(lambda: _parse_factor(tokens, names),
+                                    "*"))
 
 
 def parse_monomial(text: str, variables: Optional[Sequence[str]] = None
@@ -180,12 +187,8 @@ def parse_ideal(text: str, variables: Optional[Sequence[str]] = None
         if not names.names:
             raise InputError("the zero ideal needs explicit variable names")
         return MonomialIdeal(len(names.names), ()), names.names
-    raw: List[dict] = []
-    while True:
-        raw.append(_parse_monomial_exponents(tokens, names))
-        if tokens.peek() != ",":
-            break
-        tokens.next()
+    raw = tokens.separated(
+        lambda: _parse_monomial_exponents(tokens, names), ",")
     tokens.done()
     n = len(names.names)
     if n == 0:
@@ -199,9 +202,7 @@ def format_rational(value) -> str:
     from math import inf
     if value == inf:
         return "inf"
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"
+    return str(Fraction(value))  # "p/q", or "p" for an integer
 
 
 def format_monomial(beta: Sequence, variables: Sequence[str]) -> str:
@@ -221,76 +222,55 @@ def format_ideal(ideal: MonomialIdeal, variables: Sequence[str]) -> str:
     return ", ".join(format_monomial(g, variables) for g in ideal.generators)
 
 
+def _parse_addend(tokens: _Tokens, names: _Names
+                  ) -> Tuple[Optional[int], Fraction]:
+    """`var`, `rational*var` or `rational` as (variable index, coefficient),
+    the index None for a constant."""
+    if _is_name(tokens.peek()):
+        return names.take(tokens), Fraction(1)
+    coeff = _parse_rational(tokens)
+    if tokens.peek() != "*":
+        return None, coeff
+    tokens.next()
+    return names.take(tokens), coeff
+
+
 def _parse_affine_piece(tokens: _Tokens, names: _Names
-                        ) -> List[Tuple[Optional[int], Fraction]]:
-    """Sum of addends as (variable index or None, coefficient) pairs."""
-    addends = []
-    while True:
-        if _is_name(tokens.peek()):
-            name = tokens.next()
-            addends.append((names.index(name, tokens), Fraction(1)))
-        else:
-            coeff = _parse_rational(tokens)
-            if tokens.peek() == "*":
-                tokens.next()
-                name = tokens.next()
-                if not _is_name(name):
-                    tokens.pos -= 1
-                    raise tokens.error("expected a variable name")
-                addends.append((names.index(name, tokens), coeff))
-            else:
-                addends.append((None, coeff))
-        if tokens.peek() != "+":
-            return addends
-        tokens.next()
+                        ) -> Dict[Optional[int], Fraction]:
+    """A sum of addends as its coefficients summed per variable index,
+    None for the constant."""
+    return _summed(tokens.separated(lambda: _parse_addend(tokens, names),
+                                    "+"))
 
 
 def parse_toric(text: str, variables: Optional[Sequence[str]] = None
                 ) -> Tuple[ConcaveToricFunction, List[str]]:
     """`min(...)` or `power(k; a1, ..., an)`, plus the variable list."""
     tokens = _Tokens(text)
-    head = tokens.next()
+    head = tokens.take(lambda t: t in ("min", "power"),
+                       "expected 'min' or 'power'")
     if head == "min":
         names = _Names(variables)
         tokens.next("(")
-        pieces = []
-        while True:
-            pieces.append(_parse_affine_piece(tokens, names))
-            if tokens.peek() != ",":
-                break
-            tokens.next()
+        pieces = tokens.separated(lambda: _parse_affine_piece(tokens, names),
+                                  ",")
         tokens.next(")")
         tokens.done()
         n = len(names.names)
         if n == 0:
             raise InputError("a toric function needs at least one variable")
-        parsed = []
-        for piece in pieces:
-            slope = [Fraction(0)] * n
-            offset = Fraction(0)
-            for idx, coeff in piece:
-                if idx is None:
-                    offset += coeff
-                else:
-                    slope[idx] += coeff
-            parsed.append((tuple(slope), offset))
-        return pwl_min(parsed), names.names
-    if head == "power":
-        tokens.next("(")
-        k = _parse_rational(tokens)
-        tokens.next(";")
-        exps = [_parse_rational(tokens)]
-        while tokens.peek() == ",":
-            tokens.next()
-            exps.append(_parse_rational(tokens))
-        tokens.next(")")
-        tokens.done()
-        g = power_product(k, exps)
-        if variables is not None:
-            if len(variables) != g.dimension:
-                raise InputError("variable list does not match the number "
-                                 "of exponents")
-            return g, list(variables)
-        return g, default_variables(g.dimension)
-    tokens.pos -= 1
-    raise tokens.error("expected 'min' or 'power'")
+        return pwl_min([(tuple(p.get(i, 0) for i in range(n)), p.get(None, 0))
+                        for p in pieces]), names.names
+    tokens.next("(")
+    k = _parse_rational(tokens)
+    tokens.next(";")
+    exps = tokens.separated(lambda: _parse_rational(tokens), ",")
+    tokens.next(")")
+    tokens.done()
+    g = power_product(k, exps)
+    if variables is not None:
+        if len(variables) != g.dimension:
+            raise InputError("variable list does not match the number "
+                             "of exponents")
+        return g, list(variables)
+    return g, default_variables(g.dimension)

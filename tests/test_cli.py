@@ -513,6 +513,23 @@ def test_oracle_non_finite_increments_read_inconclusive(shift, rule):
         assert invoke(*FAR_WEIGHTED, shift, "--strict") == (4, out, "")
 
 
+# e^{-8x} (orthant) and e^{-8t}/t^2 (weighted) on boxes out to 1.7e300:
+# 512 nodes step by about 1e297 there, so the first node's weight alone
+# makes every partial value, and the grid is flagged as too coarse
+@pytest.mark.parametrize("op", ["orthant", "weighted"])
+def test_oracle_far_schedule_reads_inconclusive(op):
+    argv = ("oracle", "--op", op, "--toric", "min(x)", "--shift", "5",
+            "--schedule", "1e300,1.5e300,1.7e300")
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "verdict: Inconclusive"
+    assert invoke(*argv, "--strict") == (4, out, "")
+    code, out, _ = invoke(*argv, "--format", "json")
+    answer = json.loads(out)
+    assert code == 0 and answer["result"]["verdict"] == "Inconclusive"
+    assert answer["certificates"]["rule"] == "grid coarser than the integrand"
+
+
 @pytest.mark.parametrize("flag", ["--points", "--samples"])
 def test_oracle_zero_points_and_samples(flag):
     # each setting to an op that reads it, so OracleConfig refuses the 0
@@ -619,6 +636,13 @@ def test_main_exits_with_the_run_code():
             capture_output=True, text=True, env=CHILD_ENV, timeout=120)
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
         assert (proc.stderr == "") == (code == 0)
+
+
+def test_module_runs_nil():
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilcalc.cli", "lct", "--ideal", "x^2, y^3"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5/6\n", "")
 
 
 ORACLE_ON_FIRST_USE = """

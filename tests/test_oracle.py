@@ -13,7 +13,7 @@ from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
                             QUADRATURE_POINTS_LIMIT, OracleConfig, _axis_grid,
                             _blocks, _Envelope, _exp,
                             _g_values, _grid_box, _judge, _log_partial_sums,
-                            _shells, adjoint_weighted_integral,
+                            _shells, _widest_step, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
                             radial_power_integral)
 from nilcalc.toric import exp_integrable_shifted, power_product, pwl_min
@@ -462,3 +462,11 @@ def test_exp_is_the_clamped_exp_bit_for_bit():
     same = x.copy()
     assert _exp(same, out=same) is same
     assert np.array_equal(same.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 1e300), (1.0, 40.0)])
+@pytest.mark.parametrize("m", [2, 3, 512])
+def test_widest_step_is_the_grids(a, b, m):
+    x, _ = _axis_grid(a, b, m, a == 0.0)
+    assert _widest_step(a, b, m) == pytest.approx(np.diff(x).max(),
+                                                  rel=1e-12)

@@ -115,3 +115,32 @@ def test_round_trip_property():
         J, got = parse_ideal(text, names)
         assert J == I
         assert got == names
+
+
+@pytest.mark.parametrize("parse, text, message, line, column, token", [
+    (parse_rational, "x", "expected a number", 1, 1, "x"),
+    (parse_rational, "1/0", "expected a positive denominator", 1, 3, "0"),
+    (parse_rational, "--3/", "unexpected end of input", 1, 5, ""),
+    (parse_ideal, "x^y", "expected a natural exponent", 1, 3, "y"),
+    (parse_ideal, "x*", "unexpected end of input", 1, 3, ""),
+    (parse_ideal, "x^2,\ny^", "unexpected end of input", 2, 3, ""),
+    (parse_ideal, "x, 2", "expected a variable name", 1, 4, "2"),
+    (parse_toric, "max(x)", "expected 'min' or 'power'", 1, 1, "max"),
+    (parse_toric, "min(x) y", "unexpected trailing input", 1, 8, "y"),
+    (parse_toric, "min(x +)", "expected a number", 1, 8, ")"),
+    (parse_toric, "power(1; 1/2 1/2)", "expected ')'", 1, 14, "1"),
+    (parse_toric, "min(x,\n  2*y, 1/0)", "expected a positive denominator",
+     2, 10, "0"),
+    (parse_monomial, "x**y", "expected a variable name", 1, 3, "*"),
+    # a digit that int() does not read is not a number
+    (parse_ideal, "x^\u00b2", "expected a natural exponent", 1, 3, "\u00b2"),
+    (parse_rational, "1/\u00b2", "expected a positive denominator", 1, 3,
+     "\u00b2"),
+])
+def test_parse_error_sites(parse, text, message, line, column, token):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, err.value.token) == (
+        line, column, token)
+    near = f" (near {token!r})" if token else ""
+    assert str(err.value) == f"{message} at line {line}, column {column}{near}"
