@@ -45,9 +45,7 @@ _OPTIONS = {
     "--axis": dict(help="variable name of the hyperplane"),
     "--schedule": dict(help="comma-separated truncation boxes"),
     # parsed by _oracle_config, as are the same problem-file fields
-    "--seed": dict(help="Monte Carlo seed"),
     "--points": dict(help="quadrature points per axis"),
-    "--samples": dict(help="Monte Carlo samples"),
     "--strict": dict(action="store_true",
                      help="exit 4 when the verdict is Inconclusive"),
     "--k": dict(help="rational factor k > 0"),
@@ -148,15 +146,11 @@ def _oracle_config(args) -> dict:
     """The OracleConfig settings of the command line."""
     kwargs = {}
     try:
-        if args.seed is not None:
-            kwargs["seed"] = int(args.seed)
         if args.schedule is not None:
             kwargs["truncation_schedule"] = tuple(
                 float(x) for x in str(args.schedule).split(","))
         if args.points is not None:
             kwargs["quadrature_points_per_axis"] = int(args.points)
-        if args.samples is not None:
-            kwargs["mc_samples"] = int(args.samples)
     except ValueError as exc:
         raise InputError(f"bad oracle setting: {exc}")
     return kwargs
@@ -309,8 +303,7 @@ _ORACLE_OPS = {
     "radial": ("--k", "--beta", "--points"),
     "orthant": ("--vars", "--toric", "--shift", "--points"),
     "weighted": ("--vars", "--toric", "--shift", "--points", "--eps"),
-    "polydisk": ("--vars", "--toric", "--beta", "--weight", "--seed",
-                 "--samples"),
+    "polydisk": ("--vars", "--toric", "--beta", "--weight", "--points"),
 }
 
 
@@ -323,11 +316,8 @@ def _cmd_oracle(args):
     cfg = oracle.OracleConfig(**_oracle_config(args))
     # the settings the op read, defaults included, so that the inputs
     # given back through --input reproduce the result
-    inputs = {"op": op, "schedule": list(cfg.truncation_schedule)}
-    if op == "polydisk":
-        inputs.update({"seed": cfg.seed, "samples": cfg.mc_samples})
-    else:
-        inputs["points"] = cfg.quadrature_points_per_axis
+    inputs = {"op": op, "schedule": list(cfg.truncation_schedule),
+              "points": cfg.quadrature_points_per_axis}
     if op == "radial":
         k = parsing.parse_rational(_require(args, "k"))
         beta = _csv_rationals(_require(args, "beta"))
@@ -387,9 +377,9 @@ _COMMANDS = {
                          ("--vars", "--ideal", "--c", "--axis"),
                          _cmd_check_adjunction),
     "oracle": ("numerical convergence oracle",
-               ("--vars", "--toric", "--schedule", "--seed", "--points",
-                "--samples", "--strict", "--op", "--shift", "--eps", "--beta",
-                "--weight", ("--k", "rational k (radial op)")), _cmd_oracle),
+               ("--vars", "--toric", "--schedule", "--points", "--strict",
+                "--op", "--shift", "--eps", "--beta", "--weight",
+                ("--k", "rational k (radial op)")), _cmd_oracle),
 }
 
 

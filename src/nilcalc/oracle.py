@@ -17,27 +17,18 @@ read off the increments between consecutive truncations:
   increments whose total is infinite, and a grid too coarse for the
   integrand (a node step changing the exponent by more than 700).
 
-The orthant, weighted and radial integrals (the last being the
-one-variable integral of the weight k t over [log 2, inf)) use the
-trapezoid rule on a tensor grid of quadrature_points_per_axis nodes per
-axis and shell box, graded towards 0 on axes starting there.  The
+Every oracle -- orthant, weighted, polydisk and radial (the last two
+being integrals over [log 2, inf)^n, the radial one in one variable) --
+is the same shell quadrature: the trapezoid rule on a tensor grid of
+quadrature_points_per_axis nodes per axis and shell box, graded towards
+the region's low end (0, 1 or log 2) on every box side starting there.  The
 dimension decides how the grid is summed: in one variable, and for power
 products, over the grid itself (`_grid_box`, also the tests' reference);
 in more, a minimum of linear forms in closed form along the last axis
 from per-piece partial sums (`_Envelope`), built once per last-axis
 interval of a call as cumulative sums scaled block by block.
 
-The polydisk integral is estimated by Monte Carlo.  Each shell box's
-samples are drawn into one preallocated array and evaluated in blocks of
-_MC_CHUNK samples small enough to stay in cache: for a minimum of linear
-forms the exponent of a block is one small matrix product and a minimum
-over its rows.  These blocks and the tensor grid exponentiate through
-`_exp`, which equals np.exp(np.minimum(x, 700)) bit for bit but keeps
-numpy's exp on its vector path: arguments below _EXP_FAST, where np.exp
-turns to a slow scalar path, become 0.0 or are computed one by one.
-
-Estimates are deterministic functions of the config (including the
-Monte Carlo routine, whose streams are keyed by seed, shell and box).
+Estimates are deterministic functions of the integrand and the config.
 """
 
 from __future__ import annotations
@@ -46,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,21 +47,19 @@ from .toric import (CONVERGES, DIVERGES, INCONCLUSIVE, PLAIN,
                     PiecewiseLinearMin, PowerProduct)
 
 QUADRATURE_POINTS_LIMIT = 5120  # ten times the default points per axis
-MC_SAMPLES_LIMIT = 10_000_000  # ten times the default mc_samples
 
 # bounds on the ratios of consecutive increments, see the module docstring
 CONVERGENCE_RATIO_THRESHOLD = 0.25
 DIVERGENCE_GROWTH_THRESHOLD = 0.9
 ALGEBRAIC_DECAY_THRESHOLD = 0.7
 
-_GRID_CHUNK = 1 << 22  # max tensor-grid points evaluated at once
+# tensor-grid points evaluated at once (at least one row of axis 0): few
+# enough that the temporaries of a chunk stay in cache
+_GRID_CHUNK = 1 << 16
 _ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
 # the terms summed in one block of `_log_cumsum` span less than this, so
 # that their exponentials relative to the block's largest stay above e^-600
 _BLOCK_SPAN = 600.0
-# Monte Carlo samples evaluated at once; _MC_CHUNK e^700 / (log 2)^2 is
-# below the float maximum, so the sum over one block is always finite
-_MC_CHUNK = 1 << 13
 _EXP_FAST = -700.0  # np.exp stays on its vector path down to about -707.7
 _EXP_ZERO = -745.2  # below about -745.13 e^x rounds to 0.0
 
@@ -79,8 +68,8 @@ _EXP_ZERO = -745.2  # below about -745.13 e^x rounds to 0.0
 class OracleConfig:
     truncation_schedule: Tuple[float, ...] = (10.0, 20.0, 40.0, 80.0)
     quadrature_points_per_axis: int = 512
-    mc_samples: int = 1_000_000
-    seed: int = 0
+    # not a setting: perfbench's tracer reads it (ROADMAP item 1)
+    mc_samples: ClassVar[int] = 0
 
     def __post_init__(self):
         sched = tuple(float(t) for t in self.truncation_schedule)
@@ -96,8 +85,6 @@ class OracleConfig:
                 QUADRATURE_POINTS_LIMIT:
             raise InputError(f"quadrature_points_per_axis must lie in "
                              f"[2, {QUADRATURE_POINTS_LIMIT}]")
-        if not 0 < self.mc_samples <= MC_SAMPLES_LIMIT:
-            raise InputError(f"mc_samples must lie in [1, {MC_SAMPLES_LIMIT}]")
 
 
 @dataclass(frozen=True)
@@ -172,8 +159,9 @@ def _axis_grid(a: float, b: float, m: int,
 
 
 def _exp(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """np.exp(np.minimum(x, 700)), bit for bit, without the slow path
-    numpy's exp takes for arguments whose result is tiny.
+    """np.exp(np.minimum(x, 700)), bit for bit, for the exponents of a
+    tensor grid, without the slow scalar path numpy's exp takes below
+    about _EXP_FAST, where the result is tiny.
 
     The vector exp runs on x clipped to [_EXP_FAST, 700]; the arguments
     below _EXP_FAST are then set to 0.0, or computed exactly where the
@@ -219,16 +207,16 @@ def _g_values(g: ConcaveToricFunction, coords: Sequence[np.ndarray]):
 
 def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
               box: Sequence[Tuple[float, float]], m: int,
-              weight_axis0: bool) -> float:
+              weight_axis0: bool, lows: Sequence[float]) -> float:
     """Integral of e^{2(g - <A, x>)} (optionally / x_1^2) over the box,
-    by the tensor trapezoid rule."""
+    by the tensor trapezoid rule, graded on the axes starting at lows."""
     n = len(box)
     axes = []
-    for i, (a, b) in enumerate(box):
+    for i, ((a, b), low) in enumerate(zip(box, lows)):
         shape = [1] * n
         shape[i] = m
-        axes.append([v.reshape(shape) for v in _axis_grid(a, b, m, a == 0.0)])
-    # chunk along axis 0 to bound memory for n = 3
+        axes.append([v.reshape(shape) for v in _axis_grid(a, b, m, a == low)])
+    # chunk along axis 0
     rows = max(1, _GRID_CHUNK // m ** (n - 1))
     total = 0.0
     for start in range(0, m, rows):
@@ -323,11 +311,12 @@ class _Envelope:
     cumulative sums (`_log_cumsum`), and only the (piece, row) pairs
     whose run is not empty reach log, expm1 and exp.  One instance
     builds the axis grids and partial sums once per interval, and the
-    kept pieces' arrays once per set, for all the boxes of a call.
+    kept pieces' arrays once per set, for all the boxes of a call, graded
+    on the axes starting at lows.
     """
 
     def __init__(self, g: PiecewiseLinearMin, A: Tuple[float, ...], m: int,
-                 weight_axis0: bool):
+                 weight_axis0: bool, lows: Sequence[float]):
         n = len(A)
         # the pieces c_k + <a_k, x> of 2(g - <A, x>) and the clamp (0, 700),
         # by decreasing last slope: the active piece never moves back
@@ -336,17 +325,17 @@ class _Envelope:
             [([2.0 * (float(s) - Ai) for s, Ai in zip(slope, A)],
               2.0 * float(off)) for slope, off in g.pieces]
             + [([0.0] * n, 700.0)], key=lambda row: -row[0][-1])
-        self.n, self.m, self.weight_axis0 = n, m, weight_axis0
+        self.n, self.m, self.weight_axis0, self.lows = n, m, weight_axis0, lows
         self.grids: Dict[tuple, tuple] = {}
         self.kept: Dict[tuple, tuple] = {}
         self.sums: Dict[tuple, tuple] = {}
 
     def _grid(self, i: int, a: float, b: float) -> tuple:
         """Nodes, weights (over x^2 on a weighted axis 0) and log weights."""
-        key = (i == 0 and self.weight_axis0, a, b)
+        key = (i == 0 and self.weight_axis0, a == self.lows[i], a, b)
         grid = self.grids.get(key)
         if grid is None:
-            x, w = _axis_grid(a, b, self.m, a == 0.0)
+            x, w = _axis_grid(a, b, self.m, key[1])
             if key[0]:
                 w = w / np.square(x)
             grid = self.grids[key] = x, w, np.log(w)
@@ -460,11 +449,11 @@ def _floats(g: ConcaveToricFunction, values: Sequence) -> Tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _widest_step(a: float, b: float, m: int) -> float:
+def _widest_step(a: float, b: float, m: int, graded: bool) -> float:
     """The widest step between the `_axis_grid` nodes of [a, b], whose
-    last step is the widest where they are graded towards a = 0."""
+    last step is the widest where they are graded towards a."""
     step = (b - a) / (m - 1)
-    return step * (2 * m - 3) / (m - 1) if a == 0.0 else step
+    return step * (2 * m - 3) / (m - 1) if graded else step
 
 
 def _shells(lows: Sequence[float], schedule: Sequence[float]
@@ -480,10 +469,10 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
     """Verdict read off the quadrature of each shell of the schedule."""
     m = cfg.quadrature_points_per_axis
     if isinstance(g, PiecewiseLinearMin) and g.dimension > 1:
-        box_integral = _Envelope(g, A, m, weight_axis0).box
+        box_integral = _Envelope(g, A, m, weight_axis0, lows).box
     else:
         def box_integral(box):
-            return _grid_box(g, A, box, m, weight_axis0)
+            return _grid_box(g, A, box, m, weight_axis0, lows)
     shells = _shells(lows, cfg.truncation_schedule)
     # a shell beyond float range adds inf, which reads as growth; a weight
     # below float range has the log -inf, and 0 * inf makes a NaN
@@ -499,8 +488,9 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
     rates = [max(abs(2.0 * (float(s[i]) - Ai)) for s in slopes)
              for i, Ai in enumerate(A)]
     if verdict.verdict in (CONVERGES, DIVERGES) and any(
-            rate * _widest_step(a, b, m) > 700.0 for boxes in shells
-            for box in boxes for rate, (a, b) in zip(rates, box)):
+            rate * _widest_step(a, b, m, a == low) > 700.0
+            for boxes in shells for box in boxes
+            for rate, low, (a, b) in zip(rates, lows, box)):
         verdict.evidence["rule"] = "grid coarser than the integrand"
         return replace(verdict, verdict=INCONCLUSIVE)
     return verdict
@@ -546,21 +536,15 @@ def _scale_function(g: ConcaveToricFunction,
 
 def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
                 cfg: OracleConfig = OracleConfig()) -> ConvergenceVerdict:
-    """Monte Carlo verdict for the polydisk membership integral.
+    """Verdict for the polydisk membership integral.
 
     In logarithmic polar coordinates t_i = -log|z_i| the integral of
     |z^beta|^2 e^{2 g(t)} over the punctured polydisk of radius 1/2 is
-    proportional to the integral of e^{2 g(t) - (2 beta + 2) . t} over
-    [log 2, inf)^n; the poincare_axis_1 weight multiplies the integrand
-    by e^{2 t_1} / t_1^2.  Sampling is uniform in t (log-uniform in the
-    radii), with a stream per shell box keyed by the seed.
-
-    For a minimum of linear forms the exponent is the least of the
-    affine forms D_k . t + 2 c_k, with rows D_k = 2 a_k - (2 beta + 2)
-    (plus 2 e_1 under the Poincare weight), so each block of _MC_CHUNK
-    samples costs one small matrix product, a minimum over the rows and
-    `_exp`.  A power product is the single row -(2 beta + 2) plus
-    2 g(t) from `_g_values` on the same block.
+    proportional to the integral of e^{2(g(t) - <A, t>)} over
+    [log 2, inf)^n with A = beta + 1.  The poincare_axis_1 weight
+    multiplies the integrand by e^{2 t_1} / t_1^2, that is A - e_1 and
+    the 1/t_1^2 weight on axis 0.  Both are computed by the shell
+    quadrature that the other oracles use.
     """
     bv = fvec(beta)
     if len(bv) != g.dimension:
@@ -572,55 +556,13 @@ def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,
     lo = float(np.log(2.0))
     if cfg.truncation_schedule[0] <= lo:
         raise InputError("truncation schedule must exceed log 2")
-    shells = _shells([lo] * g.dimension, cfg.truncation_schedule)
-    samples_per_box = max(1, cfg.mc_samples // sum(map(len, shells)))
-    linear = np.array([-2.0 * b - 2.0 for b in _floats(g, bv)])
+    # beta itself is checked against float range, so that an error names it
+    A = [b + 1.0 for b in _floats(g, bv)]
     poincare = weight == POINCARE_AXIS_1
     if poincare:
-        linear[0] += 2.0
-    if isinstance(g, PiecewiseLinearMin):
-        rows = np.array([[2.0 * float(s) for s in slope]
-                         for slope, _ in g.pieces]) + linear
-        offsets = np.array([[2.0 * float(off)] for _, off in g.pieces])
-    else:
-        rows, offsets = linear[None, :], np.zeros((1, 1))
-    # every box's stream is built before the first draw: built right after
-    # a box's samples have streamed through the caches, it costs ten times
-    # as much
-    seed = cfg.seed & 0xFFFFFFFF
-    streams = [[np.random.default_rng([seed, si, bi])
-                for bi in range(len(boxes))]
-               for si, boxes in enumerate(shells)]
-    pts = np.empty((g.dimension, samples_per_box))
-    block = np.empty((len(rows), min(_MC_CHUNK, samples_per_box)))
-    increments = []
-    for boxes, rngs in zip(shells, streams):
-        inc = 0.0
-        for box, rng in zip(boxes, rngs):
-            volume = 1.0
-            for row, (a, b) in zip(pts, box):
-                # the values of rng.uniform(a, b, samples_per_box)
-                volume *= b - a
-                rng.random(out=row)
-                row *= b - a
-                row += a
-            total = 0.0
-            for start in range(0, samples_per_box, _MC_CHUNK):
-                p = pts[:, start:start + _MC_CHUNK]
-                expo = block[:, :p.shape[1]]
-                # numpy's matmul is slow for an inner dimension of 1
-                (np.multiply if len(p) == 1 else np.matmul)(rows, p, out=expo)
-                expo += offsets
-                vals = expo.min(axis=0)
-                if isinstance(g, PowerProduct):
-                    vals += 2.0 * _g_values(g, p)
-                _exp(vals, out=vals)
-                if poincare:
-                    vals /= np.square(p[0])
-                total += float(vals.sum())
-            inc += volume * (total / samples_per_box)
-        increments.append(inc)
-    return _judge(cfg.truncation_schedule, increments)
+        A[0] -= 1.0
+    return _quadrature_verdict(g, tuple(A), [lo] * g.dimension, cfg,
+                               weight_axis0=poincare)
 
 
 def radial_power_integral(k, beta,

@@ -131,9 +131,9 @@ def test_mult_toric():
     (("valuation", "--toric", "power(1; -1/2)", "--beta", "0"),
      "exponents must be non-negative"),
     (("oracle", "--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta",
-      "1,1,1", "--samples", "100"), "dimension mismatch between g and beta"),
+      "1,1,1", "--points", "16"), "dimension mismatch between g and beta"),
     (("oracle", "--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta",
-      "1,1", "--schedule", "0.5,1,2", "--samples", "100"),
+      "1,1", "--schedule", "0.5,1,2", "--points", "16"),
      "truncation schedule must exceed log 2"),
     (("mult", "--toric", "min(1,2)"),
      "a toric function needs at least one variable"),
@@ -321,7 +321,7 @@ def test_input_file_list_field(tmp_path):
     assert doc["result"]["generators"] == ["y", "x"]
 
 
-POLYDISK = ("--toric", "min(2*x, 3*y)", "--beta", "0,1", "--samples", "2000")
+POLYDISK = ("--toric", "min(2*x, 3*y)", "--beta", "0,1", "--points", "64")
 
 
 def invoke_file(tmp_path, command, spec, *argv):
@@ -331,17 +331,17 @@ def invoke_file(tmp_path, command, spec, *argv):
 
 
 @pytest.mark.parametrize("command,spec,flags", [
-    # fields whose options have a default: op, format, seed
+    # fields whose options have a default: op, format, points, weight
     ("oracle", {"op": "radial", "k": "5/2", "beta": 2},
      ("--op", "radial", "--k", "5/2", "--beta", "2")),
     ("lct", {"ideal": "x^2, y^3", "format": "json"},
      ("--ideal", "x^2, y^3", "--format", "json")),
     ("oracle", {"toric": "min(2*x, 3*y)", "beta": "0,1", "op": "polydisk",
-                "samples": 2000},
+                "points": 64},
      ("--op", "polydisk") + POLYDISK),
     ("oracle", {"toric": "min(2*x, 3*y)", "beta": "0,1", "op": "polydisk",
-                "samples": 2000, "seed": 5},
-     ("--op", "polydisk", "--seed", "5") + POLYDISK)])
+                "points": 64, "weight": "poincare_axis_1"},
+     ("--op", "polydisk", "--weight", "poincare_axis_1") + POLYDISK)])
 def test_input_file_fields_with_defaults(tmp_path, command, spec, flags):
     code, out, err = invoke_file(tmp_path, command, spec)
     assert (code, out, err) == invoke(command, *flags)
@@ -350,15 +350,12 @@ def test_input_file_fields_with_defaults(tmp_path, command, spec, flags):
 
 def test_input_file_explicit_flags_win(tmp_path):
     spec = {"toric": "min(2*x, 3*y)", "beta": "0,1", "op": "radial",
-            "samples": 2000, "seed": 5, "format": "json"}
+            "points": 32, "format": "json"}
     code, out, err = invoke_file(tmp_path, "oracle", spec, "--op", "polydisk",
-                                 "--seed", "0", "--format", "text")
+                                 "--points", "64", "--format", "text")
     assert (code, out, err) == invoke("oracle", "--op", "polydisk",
                                       *POLYDISK)
     assert out.startswith("verdict: ")
-    # the file's seed would have changed the answer
-    assert out != invoke("oracle", "--op", "polydisk", "--seed", "5",
-                         *POLYDISK)[1]
 
 
 @pytest.mark.parametrize("strict, code", [(True, 4), (False, 0),
@@ -385,7 +382,7 @@ def test_input_file_strict_is_a_boolean(tmp_path, strict, code):
     ("--op", "weighted", "--toric", "min(6*x, 6*y)", "--shift", "2,4",
      "--eps", "1/10", "--points", "64"),
     ("--op", "polydisk", "--toric", "power(1; 1/2, 1/2)", "--beta", "0,0",
-     "--samples", "2000", "--seed", "3"),
+     "--points", "64"),
     ("--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta", "0,1",
      "--weight", "poincare_axis_1")])
 def test_oracle_inputs_reproduce_the_result(tmp_path, argv):
@@ -394,8 +391,7 @@ def test_oracle_inputs_reproduce_the_result(tmp_path, argv):
     code, out, err = invoke("oracle", *argv, "--format", "json")
     assert code == 0, err
     inputs = json.loads(out)["inputs"]
-    settings = {"seed", "samples"} if "polydisk" in argv else {"points"}
-    assert settings | {"schedule"} <= set(inputs)
+    assert {"points", "schedule"} <= set(inputs)
     assert invoke_file(tmp_path, "oracle",
                        dict(inputs, format="json")) == (code, out, err)
 
@@ -408,7 +404,7 @@ def test_oracle_inputs_record_the_defaults():
     _, out, _ = invoke("oracle", "--op", "polydisk", *POLYDISK[:4],
                        "--format", "json")
     inputs = json.loads(out)["inputs"]
-    assert (inputs["seed"], inputs["samples"]) == (0, 10 ** 6)
+    assert inputs["points"] == 512
 
 
 def test_json_schema_on_oracle():
@@ -530,23 +526,14 @@ def test_oracle_far_schedule_reads_inconclusive(op):
     assert answer["certificates"]["rule"] == "grid coarser than the integrand"
 
 
-@pytest.mark.parametrize("flag", ["--points", "--samples"])
+@pytest.mark.parametrize("flag", ["--points"])
 def test_oracle_zero_points_and_samples(flag):
-    # each setting to an op that reads it, so OracleConfig refuses the 0
-    op = RADIAL + ("2",) if flag == "--points" else (
-        "oracle", "--op", "polydisk", "--toric", "min(2*x, 3*y)", "--beta",
-        "0,0")
-    code, out, err = invoke(*op, flag, "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "must lie in" in err
-
-
-def test_oracle_samples_above_the_limit():
-    code, out, err = invoke("oracle", "--op", "polydisk", "--toric",
-                            "min(2*x, 3*y)", "--beta", "0,0",
-                            "--samples", "10000001")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "mc_samples" in err
+    # to ops that read the setting, so OracleConfig refuses the 0
+    for op in (RADIAL + ("2",), ("oracle", "--op", "polydisk", "--toric",
+                                  "min(2*x, 3*y)", "--beta", "0,0")):
+        code, out, err = invoke(*op, flag, "0")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "must lie in" in err
 
 
 def test_oracle_points_above_the_limit():
@@ -574,39 +561,38 @@ def test_non_numeric_schedule_is_an_input_error():
 def test_threads_and_seed_flags():
     code, _, _ = invoke("lct", "--ideal", "x^2, y^3", "--threads", "2")
     assert code == 2
-    # exact commands never read a seed; the oracle does
+    # no command reads a seed: the exact ones, and the oracle ops, which
+    # are all deterministic quadratures
     code, _, _ = invoke("lct", "--ideal", "x^2, y^3", "--seed", "1")
     assert code == 2
     # nor does adj0 read variable names
     code, _, err = invoke("adj0", "--k", "6", "--alpha", "1,1", "--beta",
                           "2,3", "--vars", "x,y")
     assert code == 2 and "--vars" in err
-    # nor does a quadrature op; the Monte Carlo op does
-    code, out, err = invoke(*RADIAL, "2", "--seed", "7")
-    assert (code, out) == (2, "")
-    assert err == "error: --op radial does not take --seed\n"
-    code, out, _ = invoke("oracle", "--op", "polydisk", "--seed", "7",
-                          *POLYDISK)
-    assert code == 0 and out.startswith("verdict: ")
+    for op in ("radial", "polydisk"):
+        code, out, err = invoke("oracle", "--op", op, "--seed", "7")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --seed 7" in err
 
 
 # valid values of every option that some oracle op reads, and for each op
 # an argv giving only options it reads
 ORACLE_VALUES = {"--vars": "x", "--toric": "min(2*x)", "--shift": "5",
                  "--points": "16", "--eps": "1/10", "--k": "5/2",
-                 "--beta": "2", "--weight": "plain", "--seed": "7",
-                 "--samples": "100"}
+                 "--beta": "2", "--weight": "plain"}
+# the Monte Carlo settings, which `nil oracle` no longer has
+RETIRED = {"--seed": "7", "--samples": "100"}
 ORACLE_BASE = {
     "radial": ("--k", "--beta", "--points"),
     "orthant": ("--toric", "--shift", "--points"),
     "weighted": ("--toric", "--shift", "--points", "--eps"),
-    "polydisk": ("--toric", "--beta", "--samples")}
+    "polydisk": ("--toric", "--beta", "--points")}
 REFUSED = [(op, name) for op, reads in _ORACLE_OPS.items()
-           for name in ORACLE_VALUES if name not in reads]
+           for name in {**ORACLE_VALUES, **RETIRED} if name not in reads]
 
 
 def test_oracle_ops_read_their_base_options():
-    assert len(REFUSED) == 22
+    assert len(REFUSED) == 23
     for op, names in ORACLE_BASE.items():
         argv = [f"{n}={ORACLE_VALUES[n]}" for n in names]
         code, out, err = invoke("oracle", "--op", op, *argv)
@@ -617,14 +603,19 @@ def test_oracle_ops_read_their_base_options():
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_oracle_op_refuses_what_it_does_not_read(tmp_path, op, name, source):
     argv = [f"{n}={ORACLE_VALUES[n]}" for n in ORACLE_BASE[op]]
+    value = {**ORACLE_VALUES, **RETIRED}[name]
     if source == "flag":
-        code, out, err = invoke("oracle", "--op", op, name,
-                                ORACLE_VALUES[name], *argv)
+        code, out, err = invoke("oracle", "--op", op, name, value, *argv)
     else:
         code, out, err = invoke_file(tmp_path, "oracle", {
-            "op": op, name[2:]: ORACLE_VALUES[name]}, *argv)
+            "op": op, name[2:]: value}, *argv)
     assert (code, out) == (2, "")
-    assert err == f"error: --op {op} does not take {name}\n"
+    if name not in RETIRED:
+        assert err == f"error: --op {op} does not take {name}\n"
+    elif source == "flag":
+        assert err.endswith(f"unrecognized arguments: {name} {value}\n")
+    else:  # a saved answer of the Monte Carlo oracle
+        assert err == f"error: unknown problem-file field '{name[2:]}'\n"
 
 
 def test_main_exits_with_the_run_code():
@@ -651,11 +642,12 @@ from nilcalc import cli
 assert cli.run(["lct", "--ideal", "x^2, y^3"], stdout=io.StringIO()) == 0
 # an oracle option its op does not read is refused before numpy loads
 assert cli.run(["oracle", "--op", "radial", "--k", "5/2", "--beta", "2",
-                "--seed", "1"], stderr=io.StringIO()) == 2
+                "--weight", "plain"], stderr=io.StringIO()) == 2
 assert "numpy" not in sys.modules
 import nilcalc
 from nilcalc import polydisk_mc
-assert nilcalc.OracleConfig().seed == 0 and callable(polydisk_mc)
+assert nilcalc.OracleConfig().quadrature_points_per_axis == 512
+assert callable(polydisk_mc)
 out = io.StringIO()
 assert cli.run(["oracle", "--op", "radial", "--k", "5/2", "--beta", "2"],
                stdout=out) == 0
@@ -713,7 +705,7 @@ def test_terminal_output_is_the_piped_output(argv):
 # argv for the fuzz below: each subcommand with most of its options, the
 # values mostly well-formed (first tuple, in the dimension n of the draw
 # where they have one) and sometimes not (second); the oracle always gets
-# small --points and --samples, so that no draw runs for long
+# small --points, so that no draw runs for long
 IDEALS = (("x^2, y^3", "x^3, x*y, y^2", "x^2, y^2, z^2, x*y*z", "y^4, x*y",
            "x*y", "1", "x^5, y^7, x^2*y^3", "x^3"),
           ("0", "x^^2", "x^-1, y", "", "q"))
@@ -757,8 +749,7 @@ def fuzz_commands(n):
          + tail),
         ("oracle --op=polydisk",
          (("--toric", toric), ("--beta", vectors),
-          ("--weight", (("plain", "poincare_axis_1"), ())),
-          ("--seed", (("0", "7"), ("x",)))) + tail),
+          ("--weight", (("plain", "poincare_axis_1"), ()))) + tail),
         ("oracle --op=radial",
          (("--k", RATIONALS), ("--beta", (VECTORS[1], ("1,1",)))) + tail),
     )
@@ -772,18 +763,15 @@ FUZZ_ROWS = list(dict.fromkeys(row for n in (1, 2, 3)
 
 def fuzz_argv(command, options, value, omit=lambda: False):
     """The argv of a fuzz row: value(values) picks an option's value, and
-    omit() leaves an option out.  An oracle op always gets the one setting
-    it reads."""
+    omit() leaves an option out.  An oracle op always gets a small
+    --points."""
     argv = command.split()
     for flag, values in options:
         if not omit():
             argv.append(flag if values is None
                         else f"{flag}={value(values)}")
     if argv[0] == "oracle":
-        flag, values = (("--samples", (("1000", "100", "1"), ("0",)))
-                        if argv[1] == "--op=polydisk"
-                        else ("--points", (("16", "8", "2"), ("0",))))
-        argv.append(f"{flag}={value(values)}")
+        argv.append(f"--points={value((('16', '8', '2'), ('0',)))}")
     return argv
 
 

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from nilcalc import oracle
+from nilcalc.ideals import adjoint_ideal, contains, minimalize
 from nilcalc.lp import InputError
 from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
-                            MC_SAMPLES_LIMIT, POINCARE_AXIS_1,
-                            QUADRATURE_POINTS_LIMIT, OracleConfig, _axis_grid,
-                            _blocks, _Envelope, _exp,
-                            _g_values, _grid_box, _judge, _log_partial_sums,
-                            _shells, _widest_step, adjoint_weighted_integral,
+                            POINCARE_AXIS_1, QUADRATURE_POINTS_LIMIT,
+                            OracleConfig, _axis_grid, _blocks, _Envelope,
+                            _exp, _grid_box, _log_partial_sums, _shells,
+                            _widest_step, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
                             radial_power_integral)
 from nilcalc.toric import exp_integrable_shifted, power_product, pwl_min
@@ -24,7 +24,7 @@ G_23 = pwl_min([((2, 0), 0), ((0, 3), 0)])
 G_M6 = pwl_min([((6, 0), 0), ((0, 6), 0)])
 ZERO_2 = pwl_min([((0, 0), 0)])
 
-FAST = OracleConfig(quadrature_points_per_axis=192, mc_samples=120_000)
+FAST = OracleConfig(quadrature_points_per_axis=192)
 
 
 def test_config_validation():
@@ -32,11 +32,6 @@ def test_config_validation():
         OracleConfig(truncation_schedule=(10, 20))
     with pytest.raises(InputError):
         OracleConfig(truncation_schedule=(10, 10, 20))
-    with pytest.raises(InputError):
-        OracleConfig(mc_samples=0)
-    with pytest.raises(InputError, match="mc_samples"):
-        OracleConfig(mc_samples=MC_SAMPLES_LIMIT + 1)
-    assert OracleConfig(mc_samples=MC_SAMPLES_LIMIT).mc_samples == 10 ** 7
     with pytest.raises(InputError, match="quadrature_points_per_axis"):
         OracleConfig(quadrature_points_per_axis=QUADRATURE_POINTS_LIMIT + 1)
     assert OracleConfig(quadrature_points_per_axis=QUADRATURE_POINTS_LIMIT
@@ -117,20 +112,55 @@ def test_polydisk_power_products():
 
 
 def test_polydisk_beyond_float_range_diverges():
-    # a box's mean of values near e^700 used to overflow inside np.mean,
-    # with a RuntimeWarning; each block's sum stays finite
+    # the exponent is clamped at 700, so the partial values stay finite
+    # (about 8e305) and still grow
     v = polydisk_mc(pwl_min([((400,), 0)]), (0,), "plain", FAST)
     assert v.verdict == DIVERGES
-    assert v.partial_values[-1][1] == math.inf
+    assert v == radial_power_integral(400, 0, FAST)
+
+
+def test_one_variable_polydisk_is_the_radial_integral():
+    # e^{2(k t - (b + 1) t)} over [log 2, inf) in both, partial values and
+    # evidence included
+    rng = random.Random(1111)
+    for _ in range(40):
+        cfg = OracleConfig(quadrature_points_per_axis=rng.choice((2, 64,
+                                                                  512)))
+        k, b = F(rng.randint(1, 40), 4), rng.randint(0, 6)
+        assert polydisk_mc(pwl_min([((k,), 0)]), (b,), "plain", cfg) == \
+            radial_power_integral(k, b, cfg), (k, b, cfg)
+
+
+def random_ideal(rng, n):
+    """Generators with entries in [0, 5], one of them 0 on axis 0, as the
+    adjoint ideal along axis 0 requires."""
+    gens = [tuple(rng.randint(0, 5) for _ in range(n))
+            for _ in range(rng.randint(1, 4))]
+    gens.append((0,) + tuple(rng.randint(0, 5) for _ in range(n - 1)))
+    return minimalize(gens)
+
+
+def test_polydisk_poincare_on_the_axis_matches_the_adjoint_ideal():
+    # beta_1 = 0 puts A = beta + 1 - e_1 on the body's boundary along axis
+    # 0, where only the 1/t_1^2 weight decides; the grid graded at log 2
+    # reads the exact adjoint ideal's answer on every case
+    rng = random.Random(1212)
+    cfg = OracleConfig(quadrature_points_per_axis=48)
+    for _ in range(60):
+        ideal = random_ideal(rng, 3)
+        beta = (0, rng.randint(0, 4), rng.randint(0, 4))
+        g = pwl_min([(gen, 0) for gen in ideal.generators])
+        want = CONVERGES if contains(adjoint_ideal(ideal, 1, 0), beta) \
+            else DIVERGES
+        got = polydisk_mc(g, beta, POINCARE_AXIS_1, cfg).verdict
+        assert got == want, (ideal.generators, beta)
 
 
 def test_determinism():
-    cfg = OracleConfig(mc_samples=50_000, seed=42)
-    a = polydisk_mc(G_23, (1, 0), "plain", cfg)
-    b = polydisk_mc(G_23, (1, 0), "plain", cfg)
-    assert a == b
-    assert orthant_exp_integral(G_23, (2, 1), cfg) == \
-        orthant_exp_integral(G_23, (2, 1), cfg)
+    assert polydisk_mc(G_23, (1, 0), "plain", FAST) == \
+        polydisk_mc(G_23, (1, 0), "plain", FAST)
+    assert orthant_exp_integral(G_23, (2, 1), FAST) == \
+        orthant_exp_integral(G_23, (2, 1), FAST)
 
 
 def test_power_product_oracle():
@@ -180,9 +210,11 @@ def test_input_validation():
 
 def assert_kernels_agree(g, A, box, m, weighted):
     # the closed-form sum along the last axis against the tensor grid
-    # that power products use, on the same nodes and weights
-    want = _grid_box(g, A, box, m, weighted)
-    got = _Envelope(g, A, m, weighted).box(box)
+    # that power products use, on the same nodes and weights; the lows
+    # are those of the weighted and orthant oracles
+    lows = [1.0 if weighted else 0.0] + [0.0] * (len(box) - 1)
+    want = _grid_box(g, A, box, m, weighted, lows)
+    got = _Envelope(g, A, m, weighted, lows).box(box)
     if want >= 1e-280:
         assert abs(got - want) <= 1e-12 * want, (g, A, box, m, weighted)
     else:
@@ -205,8 +237,8 @@ def test_envelope_kernel_agrees_with_grid():
         if trial % 2 and len(pieces) > 1:  # equal last-axis slopes
             pieces[1] = (pieces[1][0][:-1] + pieces[0][0][-1:], pieces[1][1])
         A = tuple(rng.randint(0, 24) / 4 for _ in range(n))
-        # low 0 grades the axis; clamped boxes stay small enough that
-        # e^700 times their volume is a finite float
+        # a side starting at its low is graded; clamped boxes stay small
+        # enough that e^700 times their volume is a finite float
         sides = ((0.0, 10.0), (0.0, 20.0)) if clamped else (
             (0.0, 10.0), (0.0, 40.0), (10.0, 20.0), (40.0, 80.0))
         box = [rng.choice(sides) for _ in range(n)]
@@ -298,12 +330,12 @@ def test_one_call_shares_grids_and_partial_sums():
         A = tuple(rng.randint(0, 24) / 4 for _ in range(n))
         m = rng.choice((2, 9, 33))
         lows = [1.0 if weighted else 0.0] + [0.0] * (n - 1)
-        env = _Envelope(g, A, m, weighted)
+        env = _Envelope(g, A, m, weighted, lows)
         for boxes in _shells(lows, (10.0, 20.0, 40.0, 80.0)):
             for box in boxes:
                 with np.errstate(over="ignore"):  # a box beyond float range
-                    assert env.box(box) == _Envelope(g, A, m,
-                                                     weighted).box(box)
+                    assert env.box(box) == _Envelope(g, A, m, weighted,
+                                                     lows).box(box)
 
 
 def grid_partials(g, A, lows, cfg, weighted):
@@ -311,7 +343,7 @@ def grid_partials(g, A, lows, cfg, weighted):
     total, partials = 0.0, []
     for boxes in _shells(lows, cfg.truncation_schedule):
         total += sum(_grid_box(g, A, box, cfg.quadrature_points_per_axis,
-                               weighted) for box in boxes)
+                               weighted, lows) for box in boxes)
         partials.append(total)
     return partials
 
@@ -371,38 +403,6 @@ def test_orthant_3d_at_default_settings():
     assert time.perf_counter() - start < 15
 
 
-def reference_polydisk_mc(g, beta, weight, cfg):
-    """The per-box elementwise evaluation that the block kernel replaced:
-    one rng.uniform draw per axis, then the exponent built axis by axis
-    around `_g_values` and one np.exp over the whole box."""
-    lo = float(np.log(2.0))
-    shells = _shells([lo] * g.dimension, cfg.truncation_schedule)
-    samples_per_box = max(1, cfg.mc_samples // sum(map(len, shells)))
-    coeff = tuple(2.0 * float(b) + 2.0 for b in beta)
-    increments = []
-    for si, boxes in enumerate(shells):
-        inc = 0.0
-        for bi, box in enumerate(boxes):
-            rng = np.random.default_rng([cfg.seed & 0xFFFFFFFF, si, bi])
-            volume = 1.0
-            pts = []
-            for a, b in box:
-                volume *= b - a
-                pts.append(rng.uniform(a, b, samples_per_box))
-            expo = 2.0 * _g_values(g, pts)
-            for c, p in zip(coeff, pts):
-                expo = expo - c * p
-            if weight == POINCARE_AXIS_1:
-                expo = expo + 2.0 * pts[0]
-                vals = np.exp(np.minimum(expo, 700.0)) / np.square(pts[0])
-            else:
-                vals = np.exp(np.minimum(expo, 700.0))
-            with np.errstate(over="ignore"):  # a box beyond float range
-                inc += volume * float(np.mean(vals))
-        increments.append(inc)
-    return _judge(cfg.truncation_schedule, increments)
-
-
 def random_toric(rng, n, power):
     if power:
         parts = [rng.randint(0, 4) for _ in range(n)]
@@ -417,32 +417,6 @@ def random_toric(rng, n, power):
     if rng.random() < 0.3 and len(pieces) > 1:  # equal slopes
         pieces[1] = (pieces[0][0], pieces[1][1])
     return pwl_min(pieces)
-
-
-def test_polydisk_kernel_agrees_with_reference(monkeypatch):
-    rng = random.Random(808)
-    for trial in range(540):
-        n = 1 + trial % 3
-        g = random_toric(rng, n, power=trial % 5 == 4)
-        beta = tuple(rng.randint(0, 5) for _ in range(n))
-        weight = POINCARE_AXIS_1 if trial % 4 == 3 else "plain"
-        samples = rng.choice((1, 700, 9000, 40000))
-        cfg = OracleConfig(mc_samples=samples, seed=trial)
-        # blocks that split a box, down to a single sample
-        monkeypatch.setattr(oracle, "_MC_CHUNK", rng.choice(
-            (1, 999, 8192) if samples < 1000 else (999, 8192)))
-        want = reference_polydisk_mc(g, beta, weight, cfg)
-        got = polydisk_mc(g, beta, weight, cfg)
-        case = (g, beta, weight, cfg)
-        assert got.verdict == want.verdict, case
-        for a, b in zip(got.evidence["increments"],
-                        want.evidence["increments"]):
-            if b == math.inf:
-                assert a == b, case
-            elif b >= 1e-280:
-                assert abs(a - b) <= 1e-12 * b, case
-            else:
-                assert abs(a - b) <= 1e-280, case
 
 
 def test_exp_is_the_clamped_exp_bit_for_bit():
@@ -467,6 +441,7 @@ def test_exp_is_the_clamped_exp_bit_for_bit():
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 1e300), (1.0, 40.0)])
 @pytest.mark.parametrize("m", [2, 3, 512])
 def test_widest_step_is_the_grids(a, b, m):
-    x, _ = _axis_grid(a, b, m, a == 0.0)
-    assert _widest_step(a, b, m) == pytest.approx(np.diff(x).max(),
-                                                  rel=1e-12)
+    for graded in (False, True):
+        x, _ = _axis_grid(a, b, m, graded)
+        assert _widest_step(a, b, m, graded) == pytest.approx(
+            np.diff(x).max(), rel=1e-12)
