@@ -5,7 +5,7 @@ default or as a JSON document with --format json.  Exit codes: 0 on
 success, 2 on any input or parse error, 3 when a mathematical
 hypothesis is violated (the weight is identically -infinity on the
 chosen hyperplane), 4 when an oracle verdict is Inconclusive under
---strict.
+--strict, and from `main` 1 when the reader closes the output early.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -193,16 +194,14 @@ def _cmd_mult(args):
         raise InputError("--ideal and --toric exclude each other; give one")
     if args.toric:
         g, names = parsing.parse_toric(args.toric, _variables(args))
-        if _scale_arg(args) != 1:
-            raise InputError("--c applies to monomial ideals only; scale "
-                             "the toric function instead")
-        result = ideals.multiplier_ideal_toric(g)
         inputs = {"toric": args.toric, "variables": names}
+        c = _scale_arg(args)
+        result = ideals.multiplier_ideal_toric(toric.scaled(g, c))
     else:
         ideal, names, inputs = _ideal_arg(args)
         c = _scale_arg(args)
         result = ideals.multiplier_ideal(ideal, c)
-        inputs["c"] = _rat(c)
+    inputs["c"] = _rat(c)
     return ({"inputs": inputs,
              "result": {"generators": _monomials(result, names)}},
             [f"generators: {parsing.format_ideal(result, names)}"])
@@ -412,7 +411,15 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:
+        # the reader left early; send the rest, and the flush at exit,
+        # to the null device, and exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -42,11 +42,13 @@ of that run is at 0, or above c_max, too.  So their cost follows the
 region below the staircase, not the box; the unit ideal's walk ends at
 its first prefix.
 
-Each operation checks its arguments once and builds one P, on the
-ideal's generators as they stand (they are already a canonical
-antichain), so the double description for its facets runs once per
-operation; `adjunction_report` builds a second P, for the restricted
-ideal.
+An ideal is its own Newton polyhedron: `MonomialIdeal` is a
+`NewtonPolyhedron` on its generators as they stand (they are already a
+canonical antichain), so its facets (the double description) and
+per-axis maxima are computed once per ideal, on first use, however many
+operations read them; `adjunction_report` reads a second ideal's, the
+restricted one's.  `_criterion` checks an operation's scale, ideal and
+axis once and gives the (P, c, shift) of its facet criterion.
 """
 
 from __future__ import annotations
@@ -78,10 +80,9 @@ SCAN_LIMIT = 10 ** 6
 
 
 @dataclass(frozen=True)
-class MonomialIdeal:
-    dimension: int
-    # a descending lexicographically sorted antichain of int tuples
-    generators: Tuple[Exponents, ...]
+class MonomialIdeal(NewtonPolyhedron):
+    """An ideal as its generators, a descending lexicographically sorted
+    antichain of int tuples, and so as its Newton polyhedron."""
 
     @property
     def is_zero(self) -> bool:
@@ -122,14 +123,6 @@ def minimalize(exponents: Iterable[Sequence],
 def contains(ideal: MonomialIdeal, beta: Sequence) -> bool:
     bv = natural_vector(beta, ideal.dimension)
     return any(dominates(bv, g) for g in ideal.generators)
-
-
-def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
-    """The Newton polyhedron of the ideal's generators, which are already
-    a canonical antichain of natural vectors."""
-    if ideal.is_zero:
-        raise InputError("the zero ideal has no Newton polyhedron")
-    return NewtonPolyhedron(ideal.dimension, ideal.generators)
 
 
 def _walk_box(ranges: Sequence[range], visit, prefix: Tuple[int, ...] = (),
@@ -259,22 +252,31 @@ def _scale(ideal: MonomialIdeal, c, what: str) -> Fraction:
     return c
 
 
-def _adjoint_shift(ideal: MonomialIdeal, axis: int) -> Tuple[int, ...]:
-    """The shift 1 - e_axis of the adjoint criterion, after checking the
-    axis and that some generator has zero axis coordinate."""
+def _check_axis(ideal: MonomialIdeal, axis: int) -> None:
     if not 0 <= axis < ideal.dimension:
         raise InputError("axis index out of range")
+
+
+def _criterion(ideal: MonomialIdeal, c, axis: Optional[int] = None
+               ) -> Tuple[MonomialIdeal, Fraction, Tuple[int, ...]]:
+    """(P, c, shift) of the multiplier criterion, shift 1, or with an
+    axis of the adjoint one, shift 1 - e_axis, after checking c, the
+    ideal, the axis and that some generator has zero axis coordinate."""
+    c = _scale(ideal, c, "multiplier ideal" if axis is None
+               else "adjoint ideal")
+    if axis is None:
+        return ideal, c, (1,) * ideal.dimension
+    _check_axis(ideal, axis)
     if not any(g[axis] == 0 for g in ideal.generators):
         raise HypothesisError(
             "the ideal is contained in the axis hyperplane ideal; "
             "the restricted weight is identically -infinity")
-    return axis_complement_ones(ideal.dimension, axis)
+    return ideal, c, axis_complement_ones(ideal.dimension, axis)
 
 
 def multiplier_ideal(ideal: MonomialIdeal, c) -> MonomialIdeal:
     """The multiplier ideal of ideal^c; see module docstring."""
-    c = _scale(ideal, c, "multiplier ideal")
-    return _facet_ideal(newton_polyhedron(ideal), c, (1,) * ideal.dimension)
+    return _facet_ideal(*_criterion(ideal, c))
 
 
 def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
@@ -315,7 +317,7 @@ def lct(ideal: MonomialIdeal):
     """Log canonical threshold; math.inf for the unit ideal."""
     if ideal.is_zero:
         raise InputError("the zero ideal has no log canonical threshold")
-    return critical_scale(newton_polyhedron(ideal), ones(ideal.dimension))
+    return critical_scale(ideal, ones(ideal.dimension))
 
 
 def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
@@ -327,13 +329,12 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
         raise InputError("the zero ideal has no jumping numbers")
     if ideal.is_unit:
         raise InputError("the unit ideal has no jumping numbers")
-    P = newton_polyhedron(ideal)
-    caps = _caps(P, c_max)
+    caps = _caps(ideal, c_max)
     box = prod(c + 1 for c in caps)
     if box > SCAN_LIMIT:
         raise InputError(f"the jump search box has {box} points, more than "
                          f"{SCAN_LIMIT}; lower c_max")
-    facets = P.facets
+    facets = ideal.facets
     # a ratio v/b is the integer key v*(den/b) over the common denominator
     # den of the b, and at most c_max iff the key is at most top
     den = lcm(*(b for _, b in facets))
@@ -363,19 +364,19 @@ def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
     c = _scale(ideal, c, "openness margin")
     if ideal.is_unit:
         return Fraction(1)
-    P = newton_polyhedron(ideal)
     shift = (1,) * ideal.dimension
-    current = _facet_ideal(P, c, shift)
+    current = _facet_ideal(ideal, c, shift)
     least = None
     for beta in current.generators:
         # a non-unit ideal's P has a facet
-        v, b = _least_facet_ratio(P.facets, [x + 1 for x in beta])
+        v, b = _least_facet_ratio(ideal.facets, [x + 1 for x in beta])
         if least is None or v * least[1] < least[0] * b:
             least = (v, b)
     # J(ideal^c) is not zero, so it has a generator
     (v, b), p, q = least, c.numerator, c.denominator
     eps = Fraction(q * v - p * b, 2 * p * b)
-    if _facet_ideal(P, (1 + eps) * c, shift) != current:  # pragma: no cover
+    again = _facet_ideal(ideal, (1 + eps) * c, shift)
+    if again != current:  # pragma: no cover
         raise AssertionError("openness margin failed to certify")
     return eps
 
@@ -386,15 +387,13 @@ def adjoint_ideal(ideal: MonomialIdeal, c, axis: int) -> MonomialIdeal:
     Requires that the ideal is not contained in (z_axis), i.e. some
     generator has zero axis coordinate.
     """
-    c = _scale(ideal, c, "adjoint ideal")
-    shift = _adjoint_shift(ideal, axis)
     # The multiplier's caps suffice: a member stays one when a coordinate
     # is lowered to a value still >= c * max g_i, by the multiplier's
     # argument, except that on the axis (> 0 there unless P = F x R_+)
     # the lowered point may lie on the boundary of c*P; moving a little
     # weight onto a generator with g_axis = 0, as the hypothesis above
     # provides, puts it back inside.
-    return _facet_ideal(newton_polyhedron(ideal), c, shift)
+    return _facet_ideal(*_criterion(ideal, c, axis))
 
 
 def adj0_power_membership(k, alpha: Sequence, beta: Sequence) -> bool:
@@ -425,8 +424,7 @@ def restrict_to_axis(ideal: MonomialIdeal, axis: int) -> MonomialIdeal:
     dropping their zero axis coordinate, which keeps their order."""
     if ideal.dimension < 2:
         raise InputError("restriction needs dimension >= 2")
-    if not 0 <= axis < ideal.dimension:
-        raise InputError("axis index out of range")
+    _check_axis(ideal, axis)
     kept = tuple(g[:axis] + g[axis + 1:]
                  for g in ideal.generators if g[axis] == 0)
     return MonomialIdeal(ideal.dimension - 1, kept)
@@ -435,8 +433,7 @@ def restrict_to_axis(ideal: MonomialIdeal, axis: int) -> MonomialIdeal:
 def shift_by_axis(ideal: MonomialIdeal, axis: int) -> MonomialIdeal:
     """Multiply by z_axis: increment the axis exponent of every generator,
     which keeps their order."""
-    if not 0 <= axis < ideal.dimension:
-        raise InputError("axis index out of range")
+    _check_axis(ideal, axis)
     gens = tuple(g[:axis] + (g[axis] + 1,) + g[axis + 1:]
                  for g in ideal.generators)
     return MonomialIdeal(ideal.dimension, gens)
@@ -447,8 +444,7 @@ def intersect_axis_multiples(ideal: MonomialIdeal,
     """The intersection with (z_axis): the generators g with g_axis > 0,
     and g + e_axis for those with g_axis = 0 unless a generator h with
     h_axis = 1 lies below it (it lies below no generator, or g would)."""
-    if not 0 <= axis < ideal.dimension:
-        raise InputError("axis index out of range")
+    _check_axis(ideal, axis)
 
     def rest(g):
         return g[:axis] + g[axis + 1:]
@@ -466,9 +462,7 @@ def adjunction_report(ideal: MonomialIdeal, c, axis: int) -> AdjunctionReport:
     restriction_exact: the restriction of adj to the hyperplane equals
     the multiplier ideal of the restricted ideal.
     """
-    c = _scale(ideal, c, "adjoint ideal")
-    shift = _adjoint_shift(ideal, axis)
-    P = newton_polyhedron(ideal)
+    P, c, shift = _criterion(ideal, c, axis)
     adj = _facet_ideal(P, c, shift)
     J = _facet_ideal(P, c, (1,) * ideal.dimension)
     J_H = multiplier_ideal(restrict_to_axis(ideal, axis), c)
@@ -489,11 +483,5 @@ def box_audit(ideal: MonomialIdeal, c, axis: Optional[int] = None,
     Returns True iff the antichain is unchanged, validating the cap
     choice for this input.
     """
-    if axis is None:
-        c = _scale(ideal, c, "multiplier ideal")
-        shift = (1,) * ideal.dimension
-    else:
-        c = _scale(ideal, c, "adjoint ideal")
-        shift = _adjoint_shift(ideal, axis)
-    P = newton_polyhedron(ideal)
-    return _facet_ideal(P, c, shift) == _facet_ideal(P, c, shift, bump)
+    criterion = _criterion(ideal, c, axis)
+    return _facet_ideal(*criterion) == _facet_ideal(*criterion, bump)

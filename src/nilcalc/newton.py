@@ -2,10 +2,11 @@
 
 The polyhedron is given by a canonical antichain of generating points
 whose convex hull, fattened by the positive orthant, is the represented
-set: a monomial ideal's exponent vectors, int tuples that are their own
-integer rows, or `build`'s Fraction points, scaled to integers over a
-common denominator.  Its facets (the H-representation) are enumerated
-once per object, on first use, by exact integer double description, and
+set: a monomial ideal's exponent vectors (`ideals.MonomialIdeal` is a
+NewtonPolyhedron), int tuples that are their own integer rows, or
+`build`'s Fraction points, scaled to integers over a common
+denominator.  Its facets (the H-representation) are enumerated once
+per object, on first use, by exact integer double description, and
 critical scales are read off them with one integer dot product per
 facet, the ratios <w, x>/b compared by cross-multiplication.
 `classify` reads the dilate cP = {y : <w, y> >= c*b for each facet,
@@ -82,6 +83,8 @@ class NewtonPolyhedron:
     def facets(self) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
         """The inequalities <w, x> >= b of the facets that are not
         coordinate hyperplanes, with w >= 0 and b > 0 coprime integers."""
+        if not self.generators:
+            raise InputError("the zero ideal has no Newton polyhedron")
         return _facets(self.generators, self.dimension)
 
     @cached_property

@@ -44,7 +44,7 @@ import numpy as np
 from .lp import InputError, frac, fvec
 from .toric import (CONVERGES, DIVERGES, INCONCLUSIVE, PLAIN,
                     POINCARE_AXIS_1, ConcaveToricFunction,
-                    PiecewiseLinearMin, PowerProduct)
+                    PiecewiseLinearMin, PowerProduct, scaled)
 
 QUADRATURE_POINTS_LIMIT = 5120  # ten times the default points per axis
 
@@ -516,22 +516,10 @@ def adjoint_weighted_integral(g: ConcaveToricFunction, A: Sequence, eps,
         raise InputError("eps must be >= 0")
     if cfg.truncation_schedule[0] <= 1.0:
         raise InputError("truncation schedule must exceed 1")
-    scaled = _scale_function(g, 1 + ef)
-    Af = _floats(scaled, Av + (ef,))[:-1]
+    g = scaled(g, 1 + ef)
+    Af = _floats(g, Av + (ef,))[:-1]
     lows = [1.0] + [0.0] * (g.dimension - 1)
-    return _quadrature_verdict(scaled, Af, lows, cfg, weight_axis0=True)
-
-
-def _scale_function(g: ConcaveToricFunction,
-                    factor: Fraction) -> ConcaveToricFunction:
-    if factor == 1:
-        return g
-    if isinstance(g, PiecewiseLinearMin):
-        return PiecewiseLinearMin(tuple(
-            (tuple(factor * s for s in slope), factor * off)
-            for slope, off in g.pieces))
-    # (1+eps) * k * prod x^a is again a power product with the same exponents
-    return PowerProduct(g.scale * factor, g.exponents)
+    return _quadrature_verdict(g, Af, lows, cfg, weight_axis0=True)
 
 
 def polydisk_mc(g: ConcaveToricFunction, beta: Sequence, weight: str = PLAIN,

@@ -107,6 +107,18 @@ def power_product(k, exponents: Sequence) -> PowerProduct:
     return PowerProduct(kf, al)
 
 
+def scaled(g: ConcaveToricFunction, c) -> ConcaveToricFunction:
+    """c*g for c > 0, a function of the same family: the slopes and
+    offsets of a minimum times c, or the factor k of a power product."""
+    c = frac(c)
+    if c <= 0:
+        raise InputError("scale c must be positive")
+    if isinstance(g, PiecewiseLinearMin):
+        return PiecewiseLinearMin(tuple(
+            (tuple(c * s for s in slope), c * off) for slope, off in g.pieces))
+    return PowerProduct(g.scale * c, g.exponents)
+
+
 def _floor_root(value: int, k: int) -> int:
     """floor(value ** (1/k)) for an integer value >= 0."""
     if value < 2 or k == 1:

@@ -7,8 +7,7 @@ cross-multiplication."""
 
 from fractions import Fraction
 
-from nilcalc.ideals import (MonomialIdeal, multiplier_ideal,
-                            newton_polyhedron)
+from nilcalc.ideals import MonomialIdeal, multiplier_ideal
 from nilcalc.newton import critical_scale
 
 
@@ -22,6 +21,5 @@ def openness_margin(ideal: MonomialIdeal, c) -> Fraction:
     c = Fraction(c)
     if ideal.is_unit:
         return Fraction(1)
-    P = newton_polyhedron(ideal)
-    return min(critical_scale(P, [b + 1 for b in beta]) / c - 1
+    return min(critical_scale(ideal, [b + 1 for b in beta]) / c - 1
                for beta in multiplier_ideal(ideal, c).generators) / 2

@@ -101,11 +101,28 @@ def test_mult_toric():
     for c in ("1", "1/1", "2/2"):
         assert invoke("mult", "--toric", "min(x, y)", "--c", c) == \
             (0, "generators: 1\n", "")
+    # --c scales the weight: J(c*g)
+    assert invoke("mult", "--toric", "min(2*x, 3*y)", "--c", "5/6") == \
+        (0, "generators: x, y\n", "")
+    assert invoke("mult", "--toric", "power(2; 1/2, 1/2)", "--c", "3") == \
+        (0, "generators: x^9, x^4*y, x^3*y^2, x^2*y^3, x*y^4, y^9\n", "")
+
+
+def test_mult_toric_inputs_reproduce_the_result(tmp_path):
+    argv = ("mult", "--toric", "power(2; 1/2, 1/2)", "--c", "3/2",
+            "--format", "json")
+    code, out, _ = invoke(*argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["inputs"]["c"] == "3/2"
+    assert doc["result"]["generators"] == ["x^2", "x*y", "y^2"]
+    code, again, _ = invoke_file(tmp_path, "mult", doc["inputs"],
+                                 "--format", "json")
+    assert (code, again) == (0, out)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("mult", "--toric", "min(x, y)", "--c", "2"),
-     "--c applies to monomial ideals only"),
+    (("mult", "--toric", "min(2*x, 3*y)", "--c", "0"),
+     "scale c must be positive"),
     (("oracle", "--op", "radial", "--k", "1", "--beta", "1,2"),
      "the radial oracle is one-dimensional"),
     (("mult", "--toric", "power(1; 1/2, 1/2)", "--vars", "x,y,z"),
@@ -627,6 +644,20 @@ def test_main_exits_with_the_run_code():
             capture_output=True, text=True, env=CHILD_ENV, timeout=120)
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
         assert (proc.stderr == "") == (code == 0)
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    # a ~300 KB answer line; the reader takes 10 bytes and leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilcalc.cli", "mult", "--ideal",
+         "x^5, y^7, z^6, x^2*y^3*z", "--c", "40"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err, err
 
 
 def test_module_runs_nil():

@@ -259,9 +259,10 @@ def test_many_generators_stay_fast(n, d):
     assert time.perf_counter() - start < 1
 
 
-def test_one_double_description_per_operation(monkeypatch):
-    # every operation builds the Newton polyhedron of its ideal once;
-    # the adjunction report also builds that of the restricted ideal
+def test_one_double_description_per_ideal(monkeypatch):
+    # an ideal is its own Newton polyhedron, so every operation on it
+    # reads the facets of one double description; the adjunction report
+    # also reads those of the restricted ideal
     runs = []
     facets = newton._facets
 
@@ -270,20 +271,34 @@ def test_one_double_description_per_operation(monkeypatch):
         return facets(generators, n)
     monkeypatch.setattr(newton, "_facets", counted)
     I = ideal((5, 0, 0), (0, 4, 0), (0, 0, 3), (2, 1, 1), (0, 2, 1))
-    operations = [
-        (lambda: multiplier_ideal(I, F(3, 2)), 1),
-        (lambda: adjoint_ideal(I, F(3, 2), 1), 1),
-        (lambda: lct(I), 1),
-        (lambda: jumping_numbers(I, 1), 1),
-        (lambda: openness_margin(I, F(3, 2)), 1),
-        (lambda: box_audit(I, F(3, 2)), 1),
-        (lambda: box_audit(I, F(3, 2), axis=1), 1),
-        (lambda: adjunction_report(I, F(3, 2), 1), 2),
-    ]
-    for k, (operation, expected) in enumerate(operations):
-        runs.clear()
-        operation()
-        assert len(runs) == expected, k
+    multiplier_ideal(I, F(3, 2))
+    adjoint_ideal(I, F(3, 2), 1)
+    lct(I)
+    jumping_numbers(I, 1)
+    openness_margin(I, F(3, 2))
+    box_audit(I, F(3, 2))
+    box_audit(I, F(3, 2), axis=1)
+    assert runs == [3]
+    adjunction_report(I, F(3, 2), 1)
+    assert runs == [3, 2]
+
+
+def test_zero_ideal_has_no_facets():
+    with pytest.raises(InputError, match="the zero ideal has no Newton"):
+        MonomialIdeal(2, ()).facets
+    with pytest.raises(InputError, match="cannot infer dimension"):
+        minimalize([])
+
+
+@pytest.mark.parametrize("operation", [
+    lambda I, axis: adjoint_ideal(I, 1, axis),
+    lambda I, axis: adjunction_report(I, 1, axis),
+    lambda I, axis: box_audit(I, 1, axis=axis),
+    restrict_to_axis, shift_by_axis, intersect_axis_multiples])
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_axis_out_of_range(operation, axis):
+    with pytest.raises(InputError, match="axis index out of range"):
+        operation(A23, axis)
 
 
 def test_enumerate_minimal_matches_its_definition():

@@ -46,6 +46,10 @@ def test_build_errors():
         build([(1, -1)])
     with pytest.raises(InputError):
         build([(1, 0), (1, 0, 0)])
+    with pytest.raises(InputError, match="ambient dimension must be"):
+        build([()])
+    with pytest.raises(InputError, match="scale c must be positive"):
+        classify(build([(2, 0), (0, 3)]), (1, 1), 0)
 
 
 def test_minimal_antichain_order():

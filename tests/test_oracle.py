@@ -16,7 +16,8 @@ from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
                             _widest_step, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
                             radial_power_integral)
-from nilcalc.toric import exp_integrable_shifted, power_product, pwl_min
+from nilcalc.toric import (exp_integrable_shifted, power_product, pwl_min,
+                           scaled)
 
 from envelope_reference import reference_partial_sums
 
@@ -362,7 +363,7 @@ def test_one_variable_calls_are_the_grid_quadrature():
         assert [p for _, p in got.partial_values] == want, (g, A)
         eps = F(rng.randint(0, 4), 4)
         got = adjoint_weighted_integral(g, (A,), eps, cfg)
-        want = grid_partials(oracle._scale_function(g, 1 + eps),
+        want = grid_partials(scaled(g, 1 + eps),
                              (float(A),), [1.0], cfg, True)
         assert [p for _, p in got.partial_values] == want, (g, A, eps)
         k, beta = F(rng.randint(1, 24), 4), rng.randint(0, 5)

@@ -13,15 +13,16 @@ import pytest
 from axis_faces import in_relative_interior_of_axis_face, lp_classify
 from nilcalc.ideals import (_caps, _facet_least_last, adjoint_ideal,
                             box_audit, contains, jumping_numbers,
-                            minimalize, multiplier_ideal, newton_polyhedron,
-                            openness_margin, shift_by_axis)
+                            minimalize, multiplier_ideal,
+                            multiplier_ideal_toric, openness_margin,
+                            shift_by_axis)
 from nilcalc.lp import InputError
-from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR,
+from nilcalc.newton import (BOUNDARY, EXTERIOR, INTERIOR, NewtonPolyhedron,
                             axis_complement_ones, build, classify,
                             critical_scale, dominates, minimal_antichain,
                             ones)
 from nilcalc.parsing import format_ideal, parse_ideal
-from nilcalc.toric import pwl_min
+from nilcalc.toric import pwl_min, scaled
 
 
 def random_ideal(rng, n=None, max_exp=4, max_gens=4):
@@ -221,12 +222,25 @@ def test_openness_margin_agrees_with_critical_scales():
 
 
 def test_newton_polyhedron_is_the_built_one():
+    # an ideal is its own Newton polyhedron, with the facets and maxima of
+    # the one `build` makes of its generators
     rng = random.Random(117)
     for _ in range(200):
         I = random_ideal(rng, n=rng.randint(1, 4), max_exp=5, max_gens=6)
-        P = newton_polyhedron(I)
-        assert P.generators == build(I.generators).generators
-        assert P.dimension == I.dimension
+        P = build(I.generators)
+        assert isinstance(I, NewtonPolyhedron)
+        assert (I.facets, I.maxima) == (P.facets, P.maxima), I
+
+
+def test_scaled_minimum_of_the_generators_is_the_scaled_ideal():
+    # J(c * min(<g, x>)) over the generators g of a is J(a^c)
+    rng = random.Random(118)
+    for _ in range(200):
+        I = random_ideal(rng, n=rng.randint(1, 4), max_exp=4, max_gens=5)
+        g = pwl_min([(gen, 0) for gen in I.generators])
+        for c in (F(1, 2), F(5, 6), F(1), F(3, 2), F(3)):
+            assert multiplier_ideal_toric(scaled(g, c)) == \
+                multiplier_ideal(I, c), (I, c)
 
 
 def test_minimal_antichain_agrees_with_definition():

@@ -9,21 +9,45 @@ from nilcalc.newton import BOUNDARY, EXTERIOR, INTERIOR
 from nilcalc.toric import (certificate_slack, classify_in_body, evaluate,
                            exp_integrable, exp_integrable_shifted,
                            homogenized_value, power_product, pwl_min,
-                           valuative_membership)
+                           scaled, valuative_membership)
 from power_body import certifies, classify_power, verdict
 
 G_23 = pwl_min([((2, 0), 0), ((0, 3), 0)])
 
 
 def test_constructors_validate():
-    with pytest.raises(InputError):
-        pwl_min([])
-    with pytest.raises(InputError):
-        pwl_min([((-1, 0), 0)])
-    with pytest.raises(InputError):
-        power_product(0, (F(1, 2),))
-    with pytest.raises(InputError):
-        power_product(1, (F(2, 3), F(2, 3)))
+    power = power_product(1, (F(1, 2), F(1, 2)))
+    for call, message in [
+            (lambda: pwl_min([]), "need at least one affine piece"),
+            (lambda: pwl_min([((-1, 0), 0)]), "slopes must be componentwise"),
+            (lambda: pwl_min([((1, 0), 0), ((1,), 0)]),
+             "mixed dimensions in pieces"),
+            (lambda: power_product(0, (F(1, 2),)), "the factor k must be"),
+            (lambda: power_product(1, ()), "need at least one exponent"),
+            (lambda: power_product(1, (F(2, 3), F(2, 3))),
+             "sum of exponents exceeds 1"),
+            (lambda: scaled(G_23, 0), "scale c must be positive"),
+            (lambda: scaled(power, F(-1, 2)), "scale c must be positive"),
+            # the functions reading a point check it
+            (lambda: evaluate(power, (-1, 1)), "evaluation point must be"),
+            (lambda: homogenized_value(G_23, (1,)), "dimension mismatch"),
+            (lambda: homogenized_value(G_23, (1, -1)),
+             "the direction w must be componentwise >= 0"),
+            (lambda: classify_in_body(G_23, (1,)), "dimension mismatch"),
+            (lambda: classify_in_body(G_23, (1, -1)),
+             "the point must be componentwise >= 0"),
+            (lambda: exp_integrable_shifted(G_23, (1, -1)),
+             "shift must be componentwise >= 0")]:
+        with pytest.raises(InputError, match=message):
+            call()
+
+
+def test_scaled():
+    assert scaled(pwl_min([((2, 0), 1), ((0, 3), 0)]), F(3, 2)) == \
+        pwl_min([((3, 0), F(3, 2)), ((0, F(9, 2)), 0)])
+    assert scaled(power_product(2, (F(1, 3),)), 3) == \
+        power_product(6, (F(1, 3),))
+    assert scaled(G_23, 1) == G_23
 
 
 def test_evaluate():
