@@ -124,7 +124,7 @@ def _read_input_file(args: argparse.Namespace) -> None:
 
 
 def _variables(args) -> Optional[List[str]]:
-    if args.vars:
+    if args.vars is not None:
         return [v.strip() for v in str(args.vars).split(",")]
     return None
 
@@ -166,7 +166,7 @@ def _ideal_arg(args):
 
 
 def _scale_arg(args) -> Fraction:
-    return parsing.parse_rational(args.c) if args.c else Fraction(1)
+    return Fraction(1) if args.c is None else parsing.parse_rational(args.c)
 
 
 def _monomials(ideal, names) -> List[str]:
@@ -192,7 +192,7 @@ def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
 def _cmd_mult(args):
     if args.ideal is not None and args.toric is not None:
         raise InputError("--ideal and --toric exclude each other; give one")
-    if args.toric:
+    if args.toric is not None:
         g, names = parsing.parse_toric(args.toric, _variables(args))
         inputs = {"toric": args.toric, "variables": names}
         c = _scale_arg(args)
@@ -334,7 +334,8 @@ def _cmd_oracle(args):
             inputs["A"] = [_rat(a) for a in A]
         elif op == "weighted":
             A = _csv_rationals(_require(args, "shift"))
-            eps = parsing.parse_rational(args.eps or "0")
+            eps = parsing.parse_rational("0" if args.eps is None
+                                         else args.eps)
             verdict = oracle.adjoint_weighted_integral(g, A, eps, cfg)
             inputs.update({"A": [_rat(a) for a in A], "eps": _rat(eps)})
         else:
@@ -394,7 +395,7 @@ def run(argv: Sequence[str], stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        if args.input:
+        if args.input is not None:
             _read_input_file(args)
         payload, text_lines = _COMMANDS[args.command][2](args)
     except HypothesisError as exc:

@@ -60,8 +60,6 @@ _ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
 # the terms summed in one block of `_log_cumsum` span less than this, so
 # that their exponentials relative to the block's largest stay above e^-600
 _BLOCK_SPAN = 600.0
-_EXP_FAST = -700.0  # np.exp stays on its vector path down to about -707.7
-_EXP_ZERO = -745.2  # below about -745.13 e^x rounds to 0.0
 
 
 @dataclass(frozen=True)
@@ -158,31 +156,6 @@ def _axis_grid(a: float, b: float, m: int,
     return x, w
 
 
-def _exp(x: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """np.exp(np.minimum(x, 700)), bit for bit, for the exponents of a
-    tensor grid, without the slow scalar path numpy's exp takes below
-    about _EXP_FAST, where the result is tiny.
-
-    The vector exp runs on x clipped to [_EXP_FAST, 700]; the arguments
-    below _EXP_FAST are then set to 0.0, or computed exactly where the
-    result does not round to 0.  x and out are C-contiguous, and out may
-    be x itself.
-    """
-    band = None
-    if not x.min() >= _EXP_FAST:  # also true for a NaN in x
-        band = np.flatnonzero(x < _EXP_FAST)
-        low = x.reshape(-1)[band]
-    out = np.maximum(x, _EXP_FAST, out=out)
-    np.minimum(out, 700.0, out=out)
-    np.exp(out, out=out)
-    if band is not None:
-        keep = low >= _EXP_ZERO
-        tiny = np.zeros_like(low)
-        tiny[keep] = np.exp(low[keep])
-        out.reshape(-1)[band] = tiny
-    return out
-
-
 def _g_values(g: ConcaveToricFunction, coords: Sequence[np.ndarray]):
     """g evaluated on broadcast coordinate arrays."""
     if isinstance(g, PiecewiseLinearMin):
@@ -224,7 +197,7 @@ def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
         expo = 2.0 * _g_values(g, xs)
         for Ai, x in zip(A, xs):
             expo = expo - 2.0 * Ai * x
-        vals = _exp(expo, out=expo)
+        vals = np.exp(np.minimum(expo, 700.0, out=expo), out=expo)
         if weight_axis0:
             vals = vals / np.square(xs[0])
         wprod = axes[0][1][start:start + rows]

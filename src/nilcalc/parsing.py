@@ -102,6 +102,9 @@ class _Names:
     def __init__(self, fixed: Optional[Sequence[str]]):
         self.fixed = fixed is not None
         self.names: List[str] = list(fixed) if fixed else []
+        for name in self.names:
+            if not _is_name(name):
+                raise InputError(f"not a variable name: {name!r}")
         if len(set(self.names)) != len(self.names):
             raise InputError("duplicate variable names")
 
@@ -268,9 +271,10 @@ def parse_toric(text: str, variables: Optional[Sequence[str]] = None
     tokens.next(")")
     tokens.done()
     g = power_product(k, exps)
-    if variables is not None:
-        if len(variables) != g.dimension:
-            raise InputError("variable list does not match the number "
-                             "of exponents")
-        return g, list(variables)
-    return g, default_variables(g.dimension)
+    if variables is None:
+        return g, default_variables(g.dimension)
+    names = _Names(variables).names
+    if len(names) != g.dimension:
+        raise InputError("variable list does not match the number of "
+                         "exponents")
+    return g, names

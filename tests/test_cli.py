@@ -108,16 +108,26 @@ def test_mult_toric():
         (0, "generators: x^9, x^4*y, x^3*y^2, x^2*y^3, x*y^4, y^9\n", "")
 
 
-def test_mult_toric_inputs_reproduce_the_result(tmp_path):
-    argv = ("mult", "--toric", "power(2; 1/2, 1/2)", "--c", "3/2",
-            "--format", "json")
-    code, out, _ = invoke(*argv)
-    doc = json.loads(out)
-    assert code == 0 and doc["inputs"]["c"] == "3/2"
-    assert doc["result"]["generators"] == ["x^2", "x*y", "y^2"]
-    code, again, _ = invoke_file(tmp_path, "mult", doc["inputs"],
-                                 "--format", "json")
-    assert (code, again) == (0, out)
+@pytest.mark.parametrize("argv", [
+    ("mult", "--toric", "power(2; 1/2, 1/2)", "--c", "3/2"),
+    ("mult", "--ideal", "y^3, x^2", "--c", "5/6"),
+    ("lct", "--ideal", "x^2, y^3"),
+    ("jump", "--ideal", "x^2, y^3", "--cmax", "3/2"),
+    ("adj", "--ideal", "x^2, y^3", "--c", "5/6", "--axis", "x"),
+    ("openness", "--vars", "y,x", "--ideal", "x^2, y^3", "--c", "1/2"),
+    ("check-adjunction", "--ideal", "x^2, x*y, y^2", "--c", "7/6",
+     "--axis", "y"),
+    ("valuation", "--toric", "min(2*x, 3*y)", "--beta", "0,0"),
+    ("valuation", "--toric", "power(1; 1, 0)", "--beta", "9,0"),
+    ("adj0", "--k", "6", "--alpha", "1,1", "--beta", "2,3")])
+def test_inputs_reproduce_the_result(tmp_path, argv):
+    # the inputs of a JSON answer, given back as a problem file, give the
+    # same document
+    code, out, err = invoke(*argv, "--format", "json")
+    assert code == 0, err
+    inputs = json.loads(out)["inputs"]
+    assert invoke_file(tmp_path, argv[0], inputs, "--format", "json") == \
+        (code, out, err)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -157,6 +167,21 @@ def test_mult_toric_inputs_reproduce_the_result(tmp_path):
     (("mult", "--toric", "min(2*3)"),
      "expected a variable name at line 1, column 7 (near '3')"),
     (("mult", "--toric", "power(2;1/2"), "expected ')' at line 1, column 12"),
+    # an option given an empty value is given, not left to its default
+    (("mult", "--ideal", "x^2, y^3", "--c", ""),
+     "unexpected end of input at line 1, column 1"),
+    (("oracle", "--op", "weighted", "--toric", "min(2*x)", "--shift", "3",
+      "--eps", "", "--points", "16"),
+     "unexpected end of input at line 1, column 1"),
+    (("mult", "--toric", ""), "unexpected end of input at line 1, column 1"),
+    (("mult", "--ideal", "y^3, x^2", "--vars", ""),
+     "not a variable name: ''"),
+    (("lct", "--ideal", "x^2", "--input", ""), "cannot read problem file: "),
+    # a power product's given names are checked as in the other grammars
+    (("mult", "--toric", "power(2; 1/2, 1/2)", "--c", "3", "--vars", "x,x"),
+     "duplicate variable names"),
+    (("mult", "--toric", "power(1; 1)", "--vars", "y^2"),
+     "not a variable name: 'y^2'"),
 ])
 def test_input_errors(argv, message):
     code, out, err = invoke(*argv)
@@ -314,7 +339,9 @@ def test_input_file(tmp_path):
     ('{"ideal": null}', "problem-file field 'ideal' must be a string, a "
      "number or a list of them\n"),
     ('{"variables": ["x", {}]}', "problem-file field 'variables' must be "
-     "a string, a number or a list of them\n")])
+     "a string, a number or a list of them\n"),
+    # an empty field is given, as an empty flag is
+    ('{"variables": ""}', "not a variable name: ''\n")])
 def test_input_file_errors(tmp_path, content, message):
     path = tmp_path / "problem.json"
     if content is not None:

@@ -12,7 +12,7 @@ from nilcalc.lp import InputError
 from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
                             POINCARE_AXIS_1, QUADRATURE_POINTS_LIMIT,
                             OracleConfig, _axis_grid, _blocks, _Envelope,
-                            _exp, _grid_box, _log_partial_sums, _shells,
+                            _grid_box, _log_partial_sums, _shells,
                             _widest_step, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
                             radial_power_integral)
@@ -418,25 +418,6 @@ def random_toric(rng, n, power):
     if rng.random() < 0.3 and len(pieces) > 1:  # equal slopes
         pieces[1] = (pieces[0][0], pieces[1][1])
     return pwl_min(pieces)
-
-
-def test_exp_is_the_clamped_exp_bit_for_bit():
-    # below log(2^-1075) = -745.133... the exponential rounds to 0.0
-    cutoff = -1075 * math.log(2.0)
-    x = np.concatenate([
-        np.linspace(-800.0, 720.0, 1_520_001),
-        # where np.exp leaves its vector path, and the zero cutoff
-        np.linspace(-708.0, -707.0, 10_001),
-        cutoff + np.arange(-3000, 3001) * math.ulp(cutoff),
-        [-745.2, -700.0, 700.0, -np.inf, np.inf, np.nan, -0.0],
-    ])
-    want = np.exp(np.minimum(x, 700.0)).view(np.uint64)
-    assert np.array_equal(_exp(x).view(np.uint64), want)
-    grid = x.reshape(2, -1)
-    assert np.array_equal(_exp(grid).view(np.uint64), want.reshape(2, -1))
-    same = x.copy()
-    assert _exp(same, out=same) is same
-    assert np.array_equal(same.view(np.uint64), want)
 
 
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.0, 1e300), (1.0, 40.0)])

@@ -90,6 +90,11 @@ def test_parse_toric_power():
     # given names are kept, in order
     _, names = parse_toric("power(2; 1/2, 1/2)", ["u", "v"])
     assert names == ["u", "v"]
+    # and checked as in the other grammars
+    with pytest.raises(InputError, match="duplicate variable names"):
+        parse_toric("power(2; 1/2, 1/2)", ["x", "x"])
+    with pytest.raises(InputError, match=r"not a variable name: 'y\^2'"):
+        parse_toric("power(1; 1)", ["y^2"])
     with pytest.raises(InputError):
         parse_toric("power(2; 2/3, 2/3)")
     with pytest.raises(ParseError):
