@@ -98,7 +98,8 @@ def _read_input_file(args: argparse.Namespace) -> None:
     aliases = {"variables": "vars", "c_max": "cmax", "A": "shift"}
     for key, value in data.items():
         dest = aliases.get(key, key)
-        if not hasattr(args, dest):
+        # a problem file cannot name another problem file
+        if dest == "input" or not hasattr(args, dest):
             raise InputError(f"unknown problem-file field {key!r}")
         settings = _OPTIONS[f"--{dest}"]
         # a flag is a JSON boolean; any other field is a string, a number

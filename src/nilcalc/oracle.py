@@ -25,8 +25,8 @@ the region's low end (0, 1 or log 2) on every box side starting there.  The
 dimension decides how the grid is summed: in one variable, and for power
 products, over the grid itself (`_grid_box`, also the tests' reference);
 in more, a minimum of linear forms in closed form along the last axis
-from per-piece partial sums (`_Envelope`), built once per last-axis
-interval of a call as cumulative sums scaled block by block.
+from per-piece partial sums (`_Envelope`), built once per shell as
+cumulative sums scaled block by block.
 
 Estimates are deterministic functions of the integrand and the config.
 """
@@ -56,7 +56,9 @@ ALGEBRAIC_DECAY_THRESHOLD = 0.7
 # tensor-grid points evaluated at once (at least one row of axis 0): few
 # enough that the temporaries of a chunk stay in cache
 _GRID_CHUNK = 1 << 16
-_ENVELOPE_CHUNK = 1 << 19  # max (piece, grid row) pairs evaluated at once
+# (piece, grid row) pairs of a shell evaluated at once: few enough that
+# the temporaries of a chunk stay in cache
+_ENVELOPE_CHUNK = 1 << 13
 # the terms summed in one block of `_log_cumsum` span less than this, so
 # that their exponentials relative to the block's largest stay above e^-600
 _BLOCK_SPAN = 600.0
@@ -282,10 +284,12 @@ class _Envelope:
     e^{c_row,k} times a difference of partial sums of w_j e^{a_k x_j},
     which do not depend on the row.  The partial sums are scaled
     cumulative sums (`_log_cumsum`), and only the (piece, row) pairs
-    whose run is not empty reach log, expm1 and exp.  One instance
-    builds the axis grids and partial sums once per interval, and the
-    kept pieces' arrays once per set, for all the boxes of a call, graded
-    on the axes starting at lows.
+    whose run is not empty reach log, expm1 and exp.  A shell is summed
+    in one pass: every axis runs over the nodes of [low_i, prev] and then
+    of [prev, cur], each with its own weights, and a row inside the inner
+    box starts its last-axis run at the first node beyond prev.  One
+    instance builds the axis grids once per interval for all the shells
+    of a call, graded on the axes starting at lows.
     """
 
     def __init__(self, g: PiecewiseLinearMin, A: Tuple[float, ...], m: int,
@@ -300,8 +304,6 @@ class _Envelope:
             + [([0.0] * n, 700.0)], key=lambda row: -row[0][-1])
         self.n, self.m, self.weight_axis0, self.lows = n, m, weight_axis0, lows
         self.grids: Dict[tuple, tuple] = {}
-        self.kept: Dict[tuple, tuple] = {}
-        self.sums: Dict[tuple, tuple] = {}
 
     def _grid(self, i: int, a: float, b: float) -> tuple:
         """Nodes, weights (over x^2 on a weighted axis 0) and log weights."""
@@ -314,59 +316,56 @@ class _Envelope:
             grid = self.grids[key] = x, w, np.log(w)
         return grid
 
-    def _pieces(self, keep: tuple) -> tuple:
-        """Arrays of the kept pieces and the offsets of their sums."""
-        kept = self.kept.get(keep)
-        if kept is None:
-            slopes = np.array([self.rows[k][0] for k in keep])
-            consts = np.array([self.rows[k][1] for k in keep])
-            a = slopes[:, -1]
-            da = a[:, None] - a[None, :]
-            inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
-            starts = np.array(keep) * (self.m + 1)
-            kept = self.kept[keep] = slopes, consts, da, inv, starts
-        return kept
+    def _axis(self, i: int, prev, cur: float) -> tuple:
+        """Axis i's grid on [low_i, cur], or on [low_i, prev] then
+        [prev, cur] (node prev twice, with each interval's weight)."""
+        if prev is None:
+            return self._grid(i, self.lows[i], cur)
+        return tuple(map(np.concatenate, zip(self._grid(i, self.lows[i], prev),
+                                             self._grid(i, prev, cur))))
 
-    def _partial_sums(self, interval: Tuple[float, float]) -> tuple:
-        """The last-axis nodes and every piece's `_log_partial_sums`,
-        head and tail flattened."""
-        sums = self.sums.get(interval)
-        if sums is None:
-            x, _, lw = self._grid(self.n - 1, *interval)
-            head, tail = _log_partial_sums(
-                x, lw, np.array([slope[-1] for slope, _ in self.rows]))
-            sums = self.sums[interval] = x, head.ravel(), tail.ravel()
-        return sums
-
-    def box(self, box: Sequence[Tuple[float, float]]) -> float:
-        """The box's integral."""
-        n, m = len(box), self.m
-        # a piece that stays above another piece's maximum on the box is
-        # never the least one there (this drops the clamp on most boxes)
+    def shell(self, prev, cur: float) -> float:
+        """The integral over prod[low_i, cur] \\ prod[low_i, prev]
+        (prev=None: over all of prod[low_i, cur])."""
+        n = self.n
+        # a piece that stays above another piece's maximum on the region
+        # is never the least one there (this drops the clamp on most shells)
         least, most = [], []
         for slope, c in self.rows:
-            ends = [(s * a, s * b) for s, (a, b) in zip(slope, box)]
+            ends = [(s * low, s * cur) for s, low in zip(slope, self.lows)]
             least.append(c + sum(min(e) for e in ends))
             most.append(c + sum(max(e) for e in ends))
         top = min(most)
-        keep = tuple(k for k, v in enumerate(least) if v <= top)
-        slopes, consts, da, inv, starts = self._pieces(keep)
+        keep = [row for row, v in zip(self.rows, least) if v <= top]
+        slopes = np.array([slope for slope, _ in keep])
+        consts = np.array([c for _, c in keep])
         K = len(keep)
-        x, head, tail = self._partial_sums(tuple(box[-1]))
-        lead = [self._grid(i, a, b)[:2] for i, (a, b) in enumerate(box[:-1])]
-        rows = max(1, _ENVELOPE_CHUNK // (K * m ** max(n - 2, 0)))
+        a = slopes[:, -1]
+        da = a[:, None] - a[None, :]
+        inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
+        axes = [self._axis(i, prev, cur) for i in range(n)]
+        x, _, lw = axes[-1]
+        L = len(x)
+        head, tail = (s.ravel() for s in _log_partial_sums(x, lw, a))
+        # a row inside the inner box runs from node `skip` of the last axis
+        skip = 0 if prev is None else self.m
+        begin_at = np.where(np.arange(L) < skip, skip, 0)
+        lead = axes[:-1]
+        rows = max(1, _ENVELOPE_CHUNK // (K * L ** max(n - 2, 0)))
         total = 0.0
-        for start in range(0, m if lead else 1, rows):
-            # C[k, r]: c_k plus the other axes' terms at row r
+        for start in range(0, L if lead else 1, rows):
+            # C[k, r]: c_k plus the other axes' terms at row r; W[r] its
+            # weight and begin[r] its first last-axis node
             C = consts[:, None]
             W = np.ones(1)
-            for i, (xi, wi) in enumerate(lead):
-                if i == 0:
-                    xi, wi = xi[start:start + rows], wi[start:start + rows]
+            begin = np.full(1, skip)
+            for i, (xi, wi, _) in enumerate(lead):
+                part = slice(start, start + rows) if i == 0 else slice(None)
                 C = (C[:, :, None]
-                     + np.multiply.outer(slopes[:, i], xi)[:, None]
+                     + np.multiply.outer(slopes[:, i], xi[part])[:, None]
                      ).reshape(K, -1)
-                W = np.multiply.outer(W, wi).ravel()
+                W = np.multiply.outer(W, wi[part]).ravel()
+                begin = np.minimum.outer(begin, begin_at[part]).ravel()
             # node x goes to a piece >= k iff x > tau_k = max_{i<k}
             # min_{j>=k} of the point from which line j stays at or below
             # line i
@@ -380,15 +379,18 @@ class _Envelope:
                                            np.inf)
                 np.minimum(reach[:j], cross, out=reach[:j])
                 tau[j] = reach[:j].max(axis=0)
-            lo = np.maximum.accumulate(np.searchsorted(x, tau, "right"),
-                                       axis=0)
-            hi = np.concatenate([lo[1:], np.full((1, lo.shape[1]), m)])
+            lo = np.searchsorted(x, tau, "right")
+            lo[0] = begin
+            for k in range(1, K):
+                np.maximum(lo[k], lo[k - 1], out=lo[k])
+            hi = np.concatenate([lo[1:], np.full((1, lo.shape[1]), L)])
             # the (piece, row) pairs with a non-empty run; subtract the
             # smaller of the two partial sums, so that the difference
             # loses at most about log10(m) digits
             k, r = np.nonzero(hi > lo)
             # as indices into the flattened partial sums
-            lo, hi = starts[k] + lo[k, r], starts[k] + hi[k, r]
+            starts = k * (L + 1)
+            lo, hi = starts + lo[k, r], starts + hi[k, r]
             hl, th = head[lo], tail[hi]
             first = hl <= th
             small = np.where(first, hl, th)
@@ -441,18 +443,20 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
                         weight_axis0: bool) -> ConvergenceVerdict:
     """Verdict read off the quadrature of each shell of the schedule."""
     m = cfg.quadrature_points_per_axis
+    schedule = cfg.truncation_schedule
     if isinstance(g, PiecewiseLinearMin) and g.dimension > 1:
-        box_integral = _Envelope(g, A, m, weight_axis0, lows).box
+        shell_integral = _Envelope(g, A, m, weight_axis0, lows).shell
     else:
-        def box_integral(box):
-            return _grid_box(g, A, box, m, weight_axis0, lows)
-    shells = _shells(lows, cfg.truncation_schedule)
+        def shell_integral(prev, cur):
+            return sum(_grid_box(g, A, box, m, weight_axis0, lows)
+                       for box in _shell_boxes(lows, prev, cur))
     # a shell beyond float range adds inf, which reads as growth; a weight
     # below float range has the log -inf, and 0 * inf makes a NaN
     # increment, which reads as Inconclusive
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        increments = [sum(map(box_integral, boxes)) for boxes in shells]
-    verdict = _judge(cfg.truncation_schedule, increments)
+        increments = [shell_integral(prev, cur) for prev, cur
+                      in zip((None,) + schedule, schedule)]
+    verdict = _judge(schedule, increments)
     # the exponent's affine part, 2(s_k - A) or -2A for a power product,
     # changes by up to rates[i] per unit along axis i; where one node step
     # changes it by more than the clamp 700, the sum means nothing
@@ -462,7 +466,7 @@ def _quadrature_verdict(g: ConcaveToricFunction, A: Tuple[float, ...],
              for i, Ai in enumerate(A)]
     if verdict.verdict in (CONVERGES, DIVERGES) and any(
             rate * _widest_step(a, b, m, a == low) > 700.0
-            for boxes in shells for box in boxes
+            for boxes in _shells(lows, schedule) for box in boxes
             for rate, low, (a, b) in zip(rates, lows, box)):
         verdict.evidence["rule"] = "grid coarser than the integrand"
         return replace(verdict, verdict=INCONCLUSIVE)

@@ -331,6 +331,9 @@ def test_input_file(tmp_path):
     ('{"foo": 1}', "unknown problem-file field 'foo'\n"),
     # a field another subcommand declares is unknown to this one
     ('{"axis": "x"}', "unknown problem-file field 'axis'\n"),
+    # and a problem file cannot name another one
+    ('{"input": "nonexistent.json", "ideal": "x^2, y^3"}',
+     "unknown problem-file field 'input'\n"),
     ('{"format": "xml"}',
      "problem-file field 'format' must be one of text, json\n"),
     # only a flag is a JSON boolean; null is no value of any field

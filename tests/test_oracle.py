@@ -9,11 +9,11 @@ import pytest
 from nilcalc import oracle
 from nilcalc.ideals import adjoint_ideal, contains, minimalize
 from nilcalc.lp import InputError
-from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES,
+from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES, PLAIN,
                             POINCARE_AXIS_1, QUADRATURE_POINTS_LIMIT,
                             OracleConfig, _axis_grid, _blocks, _Envelope,
-                            _grid_box, _log_partial_sums, _shells,
-                            _widest_step, adjoint_weighted_integral,
+                            _grid_box, _log_partial_sums, _shell_boxes,
+                            _shells, _widest_step, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
                             radial_power_integral)
 from nilcalc.toric import (exp_integrable_shifted, power_product, pwl_min,
@@ -209,17 +209,33 @@ def test_input_validation():
         polydisk_mc(G_23, (0, 0), "exotic", FAST)
 
 
-def assert_kernels_agree(g, A, box, m, weighted):
-    # the closed-form sum along the last axis against the tensor grid
-    # that power products use, on the same nodes and weights; the lows
-    # are those of the weighted and orthant oracles
-    lows = [1.0 if weighted else 0.0] + [0.0] * (len(box) - 1)
-    want = _grid_box(g, A, box, m, weighted, lows)
-    got = _Envelope(g, A, m, weighted, lows).box(box)
-    if want >= 1e-280:
-        assert abs(got - want) <= 1e-12 * want, (g, A, box, m, weighted)
-    else:
-        assert abs(got - want) <= 1e-280, (g, A, box, m, weighted)
+class GridShells:
+    """`_Envelope` by the tensor grid: a shell is the sum of `_grid_box`
+    over its `_shell_boxes`, as in `grid_partials`."""
+
+    def __init__(self, g, A, m, weighted, lows):
+        self.args = g, A, m, weighted, lows
+
+    def shell(self, prev, cur):
+        g, A, m, weighted, lows = self.args
+        return sum(_grid_box(g, A, box, m, weighted, lows)
+                   for box in _shell_boxes(lows, prev, cur))
+
+
+def agree(got, want):
+    """got is want to 1e-12, or to 1e-280 where want is below 1e-280."""
+    if want == math.inf:
+        return got == math.inf
+    return abs(got - want) <= (1e-12 * want if want >= 1e-280 else 1e-280)
+
+
+def assert_kernels_agree(g, A, lows, prev, cur, m, weighted):
+    # the closed-form shell against the tensor grid that power products
+    # use, summed over the shell's boxes on the same nodes and weights
+    with np.errstate(over="ignore"):  # a shell beyond float range
+        want = GridShells(g, A, m, weighted, lows).shell(prev, cur)
+        got = _Envelope(g, A, m, weighted, lows).shell(prev, cur)
+    assert agree(got, want), (g, A, prev, cur, m, weighted)
 
 
 def test_envelope_kernel_agrees_with_grid():
@@ -238,16 +254,16 @@ def test_envelope_kernel_agrees_with_grid():
         if trial % 2 and len(pieces) > 1:  # equal last-axis slopes
             pieces[1] = (pieces[1][0][:-1] + pieces[0][0][-1:], pieces[1][1])
         A = tuple(rng.randint(0, 24) / 4 for _ in range(n))
-        # a side starting at its low is graded; clamped boxes stay small
-        # enough that e^700 times their volume is a finite float
-        sides = ((0.0, 10.0), (0.0, 20.0)) if clamped else (
-            (0.0, 10.0), (0.0, 40.0), (10.0, 20.0), (40.0, 80.0))
-        box = [rng.choice(sides) for _ in range(n)]
-        if weighted:
-            box[0] = rng.choice(((1.0, 10.0), (10.0, 20.0)))
+        # the lows of the weighted and orthant oracles; clamped shells
+        # stay small enough that e^700 times their volume is a finite float
+        lows = [1.0 if weighted else 0.0] + [0.0] * (n - 1)
+        schedule = (10.0, 20.0) if clamped else (10.0, 20.0, 40.0, 80.0)
+        step = rng.randrange(len(schedule))
+        prev, cur = ((None,) + schedule)[step], schedule[step]
         m = rng.choice({1: (2, 3, 64, 512), 2: (2, 17, 64),
                         3: (2, 9, 16)}[n])
-        assert_kernels_agree(pwl_min(pieces), A, box, m, weighted)
+        assert_kernels_agree(pwl_min(pieces), A, lows, prev, cur, m,
+                             weighted)
 
 
 def test_envelope_kernel_on_a_short_flat_run():
@@ -258,7 +274,7 @@ def test_envelope_kernel_on_a_short_flat_run():
     x1 = F(40, (m - 1) ** 2)
     s0 = 1000 - F(1, 1000)
     g = pwl_min([((s0,), 0), ((0,), s0 * 3 * x1 / 2)])
-    assert_kernels_agree(g, (1000.0,), [(0.0, 40.0)], m, False)
+    assert_kernels_agree(g, (1000.0,), [0.0], None, 40.0, m, False)
 
 
 AXES = [(0.0, 10.0), (0.0, 80.0), (10.0, 20.0), (40.0, 80.0), (1.0, 80.0)]
@@ -320,9 +336,9 @@ def test_blocks_bound_every_rows_span():
     assert _blocks(np.arange(4.0), _BLOCK_SPAN, 0.0) == [0, 1, 2, 3, 4]
 
 
-def test_one_call_shares_grids_and_partial_sums():
-    # the boxes of a call, integrated by one _Envelope that reuses its
-    # grids and partial sums, give each box's own integral bit for bit
+def test_one_call_shares_grids():
+    # the shells of a call, integrated by one _Envelope that reuses its
+    # axis grids, give each shell's own integral bit for bit
     rng = random.Random(606)
     for trial in range(60):
         n = 1 + trial % 3
@@ -332,11 +348,11 @@ def test_one_call_shares_grids_and_partial_sums():
         m = rng.choice((2, 9, 33))
         lows = [1.0 if weighted else 0.0] + [0.0] * (n - 1)
         env = _Envelope(g, A, m, weighted, lows)
-        for boxes in _shells(lows, (10.0, 20.0, 40.0, 80.0)):
-            for box in boxes:
-                with np.errstate(over="ignore"):  # a box beyond float range
-                    assert env.box(box) == _Envelope(g, A, m, weighted,
-                                                     lows).box(box)
+        schedule = (10.0, 20.0, 40.0, 80.0)
+        for prev, cur in zip((None,) + schedule, schedule):
+            with np.errstate(over="ignore"):  # a shell beyond float range
+                assert env.shell(prev, cur) == _Envelope(
+                    g, A, m, weighted, lows).shell(prev, cur)
 
 
 def grid_partials(g, A, lows, cfg, weighted):
@@ -373,25 +389,63 @@ def test_one_variable_calls_are_the_grid_quadrature():
         assert [p for _, p in got.partial_values] == want, (k, beta)
 
 
-def test_envelope_builds_partial_sums_once_per_interval(monkeypatch):
-    # the 22 boxes of a 3-variable orthant call on the default schedule
-    # have 6 distinct last-axis intervals: [0, 10], [10, 20], [0, 20],
-    # [20, 40], [0, 40] and [40, 80]
-    made = []
+@pytest.mark.parametrize("m", [2, 9, 17])
+def test_calls_in_two_and_three_variables_are_the_grid_quadrature(
+        monkeypatch, m):
+    # orthant, weighted and polydisk calls (plain and Poincare weights)
+    # read the verdict of the tensor grid over each shell's boxes, and its
+    # partial values to 1e-12
+    rng = random.Random(1414 + m)
+    cfg = OracleConfig(quadrature_points_per_axis=m)
+    calls = []
+    for trial in range(24):
+        n = 2 + trial % 2
+        g = random_toric(rng, n, power=False)
+        A = tuple(F(rng.randint(0, 24), 4) for _ in range(n))
+        beta = tuple(rng.randint(0, 4) for _ in range(n))
+        eps = F(rng.randint(0, 4), 4)
+        calls += [(orthant_exp_integral, (g, A, cfg)),
+                  (adjoint_weighted_integral, (g, A, eps, cfg)),
+                  (polydisk_mc, (g, beta, PLAIN, cfg)),
+                  (polydisk_mc, (g, beta, POINCARE_AXIS_1, cfg))]
+    got = [f(*args) for f, args in calls]
+    monkeypatch.setattr(oracle, "_Envelope", GridShells)
+    verdicts = set()
+    for (f, args), v in zip(calls, got):
+        want = f(*args)
+        assert v.verdict == want.verdict, (f.__name__, args)
+        verdicts.add(v.verdict)
+        assert all(agree(p, q) for (_, p), (_, q)
+                   in zip(v.partial_values, want.partial_values)), (
+            f.__name__, args)
+    assert CONVERGES in verdicts and DIVERGES in verdicts
+
+
+def test_envelope_builds_partial_sums_once_per_shell(monkeypatch):
+    # a 3-variable orthant call on the default schedule sums its 4 shells
+    # (the base box and 3 shells of 7 boxes each) in 4 passes, each on
+    # one table of last-axis partial sums
+    shells, tables = [], []
 
     class Recorded(_Envelope):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+        def shell(self, prev, cur):
+            shells.append((prev, cur))
+            return super().shell(prev, cur)
+
+    def recorded(*args):
+        tables.append(args)
+        return _log_partial_sums(*args)
     monkeypatch.setattr(oracle, "_Envelope", Recorded)
+    monkeypatch.setattr(oracle, "_log_partial_sums", recorded)
     rng = random.Random(1010)
     cfg = OracleConfig(quadrature_points_per_axis=9)
     for _ in range(40):
         g = random_toric(rng, 3, power=False)
         A = tuple(F(rng.randint(0, 24), 4) for _ in range(3))
         orthant_exp_integral(g, A, cfg)
-    assert len(made) == 40
-    assert {len(env.sums) for env in made} == {6}
+    assert shells == [(None, 10.0), (10.0, 20.0), (20.0, 40.0),
+                      (40.0, 80.0)] * 40
+    assert len(tables) == 4 * 40
 
 
 def test_orthant_3d_at_default_settings():
