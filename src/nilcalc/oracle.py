@@ -57,7 +57,9 @@ ALGEBRAIC_DECAY_THRESHOLD = 0.7
 # enough that the temporaries of a chunk stay in cache
 _GRID_CHUNK = 1 << 16
 # (piece, grid row) pairs of a shell evaluated at once: few enough that
-# the temporaries of a chunk stay in cache
+# the temporaries of a chunk stay in cache.  The lead-axis terms are
+# built once per shell; a chunk builds its rows' exponents, crossing
+# points and runs (see `_Envelope`)
 _ENVELOPE_CHUNK = 1 << 13
 # the terms summed in one block of `_log_cumsum` span less than this, so
 # that their exponentials relative to the block's largest stay above e^-600
@@ -290,6 +292,14 @@ class _Envelope:
     box starts its last-axis run at the first node beyond prev.  One
     instance builds the axis grids once per interval for all the shells
     of a call, graded on the axes starting at lows.
+
+    Once per shell: the pruned pieces, the partial sums, the pieces tied
+    on the last slope, and on the lead axes c_k + a_k0 x_0 and each
+    a_ki x_i (i >= 1) as (piece, node) arrays.  Once per chunk of rows
+    (`_ENVELOPE_CHUNK`): each row's c_row,k (a slice of the first plus
+    one broadcast add per further lead axis), weight and first node, the
+    crossing points, searched in K - 1 rows (piece 0 starts at the row's
+    first node), and the flat gathers of the non-empty runs.
     """
 
     def __init__(self, g: PiecewiseLinearMin, A: Tuple[float, ...], m: int,
@@ -343,6 +353,8 @@ class _Envelope:
         a = slopes[:, -1]
         da = a[:, None] - a[None, :]
         inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
+        # the pieces i < j with the same last slope as piece j
+        ties = [np.flatnonzero(da[:j, j] == 0) for j in range(K)]
         axes = [self._axis(i, prev, cur) for i in range(n)]
         x, _, lw = axes[-1]
         L = len(x)
@@ -350,54 +362,63 @@ class _Envelope:
         # a row inside the inner box runs from node `skip` of the last axis
         skip = 0 if prev is None else self.m
         begin_at = np.where(np.arange(L) < skip, skip, 0)
-        lead = axes[:-1]
+        # the lead axes' terms c_k + a_k0 x_0 and a_ki x_i (i >= 1); a chunk
+        # slices the first and adds the others (no lead axis: one row)
+        if n > 1:
+            C0 = consts[:, None] + np.multiply.outer(slopes[:, 0], axes[0][0])
+            W0, begin0 = axes[0][1], begin_at
+        else:
+            C0, W0, begin0 = consts[:, None], np.ones(1), np.full(1, skip)
+        further = [(np.multiply.outer(slopes[:, i], axes[i][0]), axes[i][1])
+                   for i in range(1, n - 1)]
         rows = max(1, _ENVELOPE_CHUNK // (K * L ** max(n - 2, 0)))
         total = 0.0
-        for start in range(0, L if lead else 1, rows):
-            # C[k, r]: c_k plus the other axes' terms at row r; W[r] its
+        for start in range(0, C0.shape[1], rows):
+            # C[k, r]: c_k plus the lead axes' terms at row r; W[r] its
             # weight and begin[r] its first last-axis node
-            C = consts[:, None]
-            W = np.ones(1)
-            begin = np.full(1, skip)
-            for i, (xi, wi, _) in enumerate(lead):
-                part = slice(start, start + rows) if i == 0 else slice(None)
-                C = (C[:, :, None]
-                     + np.multiply.outer(slopes[:, i], xi[part])[:, None]
-                     ).reshape(K, -1)
-                W = np.multiply.outer(W, wi[part]).ravel()
-                begin = np.minimum.outer(begin, begin_at[part]).ravel()
-            # node x goes to a piece >= k iff x > tau_k = max_{i<k}
+            part = slice(start, start + rows)
+            C, W, begin = C0[:, part], W0[part], begin0[part]
+            for S, wi in further:
+                C = (C[:, :, None] + S[:, None]).reshape(K, -1)
+                W = np.multiply.outer(W, wi).ravel()
+                begin = np.minimum.outer(begin, begin_at).ravel()
+            R = C.shape[1]
+            # node x goes to a piece >= k iff x > tau_{k-1} = max_{i<k}
             # min_{j>=k} of the point from which line j stays at or below
-            # line i
-            tau = np.full_like(C, -np.inf)
-            reach = np.full_like(C, np.inf)
+            # line i (piece 0 starts at begin)
+            tau = np.empty((K - 1, R))
+            reach = np.full((K - 1, R), np.inf)
             for j in range(K - 1, 0, -1):
                 cross = (C[j] - C[:j]) * inv[:j, j, None]
-                ties = da[:j, j] == 0
-                if ties.any():
-                    cross[ties] = np.where(C[j] <= C[:j][ties], -np.inf,
-                                           np.inf)
+                if len(ties[j]):
+                    cross[ties[j]] = np.where(C[j] <= C[ties[j]], -np.inf,
+                                              np.inf)
                 np.minimum(reach[:j], cross, out=reach[:j])
-                tau[j] = reach[:j].max(axis=0)
-            lo = np.searchsorted(x, tau, "right")
+                reach[:j].max(axis=0, out=tau[j - 1])
+            lo = np.empty((K, R), dtype=np.intp)
             lo[0] = begin
+            lo[1:] = np.searchsorted(x, tau, "right")
             for k in range(1, K):
                 np.maximum(lo[k], lo[k - 1], out=lo[k])
-            hi = np.concatenate([lo[1:], np.full((1, lo.shape[1]), L)])
-            # the (piece, row) pairs with a non-empty run; subtract the
+            hi = np.empty_like(lo)
+            hi[:-1] = lo[1:]
+            hi[-1] = L
+            # the (piece, row) pairs with a non-empty run, as flat indices
+            # and as indices into the flattened partial sums; subtract the
             # smaller of the two partial sums, so that the difference
             # loses at most about log10(m) digits
-            k, r = np.nonzero(hi > lo)
-            # as indices into the flattened partial sums
+            idx = np.flatnonzero(hi > lo)
+            k, r = np.divmod(idx, R)
             starts = k * (L + 1)
-            lo, hi = starts + lo[k, r], starts + hi[k, r]
+            lo, hi = starts + lo.ravel()[idx], starts + hi.ravel()[idx]
             hl, th = head[lo], tail[hi]
             first = hl <= th
             small = np.where(first, hl, th)
             big = np.where(first, head[hi], tail[lo])
             with np.errstate(divide="ignore", invalid="ignore"):
                 run = big + np.log(-np.expm1(small - big))
-            total += float(W[r] @ np.exp(C[k, r] + run))
+            run += C.ravel()[idx]
+            total += float(W[r] @ np.exp(run, out=run))
         return total
 
 

@@ -277,6 +277,38 @@ def test_envelope_kernel_on_a_short_flat_run():
     assert_kernels_agree(g, (1000.0,), [0.0], None, 40.0, m, False)
 
 
+@pytest.mark.parametrize("chunk", [1, 37, oracle._ENVELOPE_CHUNK])
+def test_envelope_agrees_with_grid_at_every_chunk_size(monkeypatch, chunk):
+    # shells split into chunks of rows of (piece, row) pairs, from one row
+    # per chunk to the default, which splits a 3-variable shell at m = 48
+    tables = []
+
+    def recorded(x, lw, a):
+        tables.append(a)
+        return _log_partial_sums(x, lw, a)
+    monkeypatch.setattr(oracle, "_ENVELOPE_CHUNK", chunk)
+    monkeypatch.setattr(oracle, "_log_partial_sums", recorded)
+    rng = random.Random(1515)
+    schedule = (10.0, 20.0, 40.0, 80.0)
+    for n in (2, 3):
+        # tied last slopes: two pieces, and (the last slope of A being
+        # one piece's) a piece and the clamp; and a single piece below
+        # the clamp on every shell
+        tied = [(tuple(F(rng.randint(0, 12), 2) for _ in range(n - 1))
+                 + (F(3),), F(rng.randint(-40, 40), 4)) for _ in range(3)]
+        cases = [(tied, (1.5,) * (n - 1) + (0.5,)),
+                 (tied, (0.5,) * (n - 1) + (3.0,)),
+                 ([((1,) * n, 0), ((0,) * n, 10000)], (0.5,) * n)]
+        for m in (9, 17, 48):
+            for pieces, A in cases:
+                for prev, cur in zip((None,) + schedule, schedule):
+                    assert_kernels_agree(pwl_min(pieces), A, [0.0] * n,
+                                         prev, cur, m, False)
+    assert min(map(len, tables)) == 1
+    assert any(len(set(a)) < len(a) for a in tables)
+    assert any(0.0 in a[:-1] and a[-1] == 0.0 for a in tables)
+
+
 AXES = [(0.0, 10.0), (0.0, 80.0), (10.0, 20.0), (40.0, 80.0), (1.0, 80.0)]
 
 
