@@ -31,10 +31,10 @@ def _csv_rationals(text: str) -> List[Fraction]:
 
 
 # argparse settings of every option; a subcommand's row in _COMMANDS
-# names its options in order, a (name, help) pair where the help differs.
-# No option has a default: one left off the command line reads None
-# unless the problem file gives it, so a given option is told from an
-# absent one, and the code that reads an option supplies its default
+# names its options in order.  No option has a default: one left off the
+# command line reads None unless the problem file gives it, so a given
+# option is told from an absent one, and the code that reads an option
+# supplies its default
 _OPTIONS = {
     "--format": dict(choices=("text", "json")),
     "--input": dict(metavar="FILE",
@@ -72,12 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for option in _SHARED + options:
-            # (name, help) where this subcommand's help differs
-            name, own_help = (option, None) if isinstance(option, str) \
-                else option
-            settings = _OPTIONS[name]
-            p.add_argument(name, **dict(
-                settings, help=own_help or settings.get("help")))
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -87,7 +82,7 @@ def _read_input_file(args: argparse.Namespace) -> None:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read problem file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also a numeral longer than Python reads
         raise InputError(f"problem file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise InputError("problem file must be a JSON object")
@@ -379,8 +374,8 @@ _COMMANDS = {
                          _cmd_check_adjunction),
     "oracle": ("numerical convergence oracle",
                ("--vars", "--toric", "--schedule", "--points", "--strict",
-                "--op", "--shift", "--eps", "--beta", "--weight",
-                ("--k", "rational k (radial op)")), _cmd_oracle),
+                "--op", "--shift", "--eps", "--beta", "--weight", "--k"),
+               _cmd_oracle),
 }
 
 

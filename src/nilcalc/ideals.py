@@ -59,7 +59,7 @@ from math import lcm, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .lp import ZERO, HypothesisError, InputError, frac
+from .lp import ZERO, HypothesisError, InputError, frac, numeral
 from .newton import (Exponents, NewtonPolyhedron, _least_facet_ratio,
                      axis_complement_ones, critical_scale, dominates,
                      minimal_antichain, natural_vector, ones, vector)
@@ -173,8 +173,9 @@ def _enumerate_minimal(dimension: int, caps: Sequence[int],
     *head, top = caps
     prefixes = prod(c + 1 for c in head)
     if prefixes > SCAN_LIMIT:
-        raise InputError(f"the generator walk has {prefixes} prefixes, more "
-                         f"than {SCAN_LIMIT}; lower c or the exponents")
+        raise InputError(f"the generator walk has {numeral(prefixes)} "
+                         f"prefixes, more than {SCAN_LIMIT}; lower c or the "
+                         "exponents")
     # least[k] is the least member last coordinate of the k-th prefix in
     # lexicographic order, or `none` if it has no member in the box; the
     # predecessor lowering coordinate i is `strides[i]` places back, and
@@ -332,8 +333,8 @@ def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
     caps = _caps(ideal, c_max)
     box = prod(c + 1 for c in caps)
     if box > SCAN_LIMIT:
-        raise InputError(f"the jump search box has {box} points, more than "
-                         f"{SCAN_LIMIT}; lower c_max")
+        raise InputError(f"the jump search box has {numeral(box)} points, "
+                         f"more than {SCAN_LIMIT}; lower c_max")
     facets = ideal.facets
     # a ratio v/b is the integer key v*(den/b) over the common denominator
     # den of the b, and at most c_max iff the key is at most top

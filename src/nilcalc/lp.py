@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import Iterable, Optional, Sequence, Tuple
 
 LEQ = "<="
@@ -56,6 +57,18 @@ def frac(x) -> Fraction:
 
 def fvec(xs: Iterable) -> Tuple[Fraction, ...]:
     return tuple(frac(x) for x in xs)
+
+
+def numeral(value) -> str:
+    """value, an int or a Fraction, in decimal, or as "about 10^d" where
+    it is longer than Python prints (4,300 digits by default,
+    sys.get_int_max_str_digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        v = Fraction(value)
+        d = round(log10(abs(v.numerator)) - log10(v.denominator))
+        return f"about {'-' if v < 0 else ''}10^{d}"
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ ideal and `0` the zero ideal.  Toric functions are written
 are taken in order of first appearance unless an explicit name list is
 supplied.  Parse errors carry the line, column and offending token.
 Three rules read the grammar: `_Tokens.take` reads a token of one kind
-or raises the kind it expected, `_Tokens.separated` reads a separated
-list, and `_summed` adds exponents and coefficients per variable.
+(`_Tokens.natural` a numeral, as an int) or raises the kind it expected,
+`_Tokens.separated` reads a separated list, and `_summed` adds exponents
+and coefficients per variable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, \
     Tuple
 
-from .lp import InputError
+from .lp import InputError, numeral
 from .ideals import MonomialIdeal, minimalize
 from .newton import Exponents
 from .toric import ConcaveToricFunction, power_product, pwl_min
@@ -68,6 +69,22 @@ class _Tokens:
                              else message)
         self.pos += 1
         return tok
+
+    def natural(self, message: str, least: int = 0) -> int:
+        """The next token as a natural number >= least, else message
+        raised at it; also raised at a numeral longer than Python reads
+        (4,300 digits by default, sys.get_int_max_str_digits)."""
+        tok = self.take(str.isdecimal, message)
+        self.pos -= 1  # an error below is raised at tok
+        try:
+            value = int(tok)
+        except ValueError:
+            raise self.error(f"numeral longer than Python reads "
+                             f"({len(tok)} digits)") from None
+        if value < least:
+            raise self.error(message)
+        self.pos += 1
+        return value
 
     def separated(self, item: Callable[[], object], separator: str) -> list:
         """item() once, and again after each separator."""
@@ -136,11 +153,10 @@ def _parse_rational(tokens: _Tokens) -> Fraction:
     while tokens.peek() in ("+", "-"):
         if tokens.next() == "-":
             sign = -sign
-    value = Fraction(int(tokens.take(str.isdecimal, "expected a number")))
+    value = Fraction(tokens.natural("expected a number"))
     if tokens.peek() == "/":
         tokens.next()
-        value /= int(tokens.take(lambda t: t.isdecimal() and int(t) > 0,
-                                 "expected a positive denominator"))
+        value /= tokens.natural("expected a positive denominator", 1)
     return sign * value
 
 
@@ -157,7 +173,7 @@ def _parse_factor(tokens: _Tokens, names: _Names) -> Tuple[int, int]:
     if tokens.peek() != "^":
         return idx, 1
     tokens.next()
-    return idx, int(tokens.take(str.isdecimal, "expected a natural exponent"))
+    return idx, tokens.natural("expected a natural exponent")
 
 
 def _parse_monomial_exponents(tokens: _Tokens, names: _Names) -> dict:
@@ -201,11 +217,21 @@ def parse_ideal(text: str, variables: Optional[Sequence[str]] = None
     return minimalize(vecs, n), names.names
 
 
+def _exact(value) -> str:
+    """str(value), an int or a Fraction; InputError where it is longer
+    than Python prints, since an answer is never rounded."""
+    try:
+        return str(value)
+    except ValueError:
+        raise InputError(f"the answer holds a number of {numeral(value)}, "
+                         "longer than Python prints") from None
+
+
 def format_rational(value) -> str:
     from math import inf
     if value == inf:
         return "inf"
-    return str(Fraction(value))  # "p/q", or "p" for an integer
+    return _exact(Fraction(value))  # "p/q", or "p" for an integer
 
 
 def format_monomial(beta: Sequence, variables: Sequence[str]) -> str:
@@ -215,7 +241,7 @@ def format_monomial(beta: Sequence, variables: Sequence[str]) -> str:
         if e == 1:
             parts.append(name)
         elif e > 1:
-            parts.append(f"{name}^{e}")
+            parts.append(f"{name}^{_exact(e)}")
     return "*".join(parts) if parts else "1"
 
 

@@ -130,6 +130,11 @@ def test_inputs_reproduce_the_result(tmp_path, argv):
         (code, out, err)
 
 
+# a numeral of 4,401 digits, longer than Python reads into an int (4,300
+# digits by default)
+LONG = "1" + "0" * 4400
+
+
 @pytest.mark.parametrize("argv, message", [
     (("mult", "--toric", "min(2*x, 3*y)", "--c", "0"),
      "scale c must be positive"),
@@ -182,6 +187,18 @@ def test_inputs_reproduce_the_result(tmp_path, argv):
      "duplicate variable names"),
     (("mult", "--toric", "power(1; 1)", "--vars", "y^2"),
      "not a variable name: 'y^2'"),
+    # numerals and counts longer than Python reads or prints
+    (("lct", "--ideal", f"x^{LONG}"),
+     "numeral longer than Python reads (4401 digits) at line 1, column 3"),
+    (("jump", "--ideal", "x^2, y^3", "--cmax", LONG),
+     "numeral longer than Python reads (4401 digits) at line 1, column 1"),
+    (("mult", "--toric", "power(3; 1/10000, 9999/10000)"),
+     "the generator walk has about 10^4767 prefixes, more than 1000000"),
+    (("jump", "--ideal", "x^2, y^3", "--cmax", "1" + "0" * 2200),
+     "the jump search box has about 10^4401 points, more than 1000000"),
+    (("mult", "--ideal", "x^1" + "0" * 3000, "--c", "1" + "0" * 3000),
+     "the answer holds a number of about 10^6000, longer than Python "
+     "prints\n"),
 ])
 def test_input_errors(argv, message):
     code, out, err = invoke(*argv)
@@ -341,6 +358,8 @@ def test_input_file(tmp_path):
      "number or a list of them\n"),
     ('{"ideal": null}', "problem-file field 'ideal' must be a string, a "
      "number or a list of them\n"),
+    pytest.param(f'{{"ideal": "x^2, y^3", "cmax": {LONG}}}',
+                 "problem file is not valid JSON: ", id="long numeral"),
     ('{"variables": ["x", {}]}', "problem-file field 'variables' must be "
      "a string, a number or a list of them\n"),
     # an empty field is given, as an empty flag is
@@ -529,6 +548,8 @@ BIG = "1" + "0" * 400  # beyond float range, about 1.8e308
     ("--op", "orthant", "--toric", f"power({BIG}; 1/2)", "--shift", "1"),
     ("--op", "polydisk", "--toric", f"min({BIG}*x)", "--beta", "0"),
     ("--op", "polydisk", "--toric", "min(x)", "--beta", BIG),
+    # beta + 1 is what the quadrature reads, but the error names beta
+    ("--op", "radial", "--k", "1", "--beta", BIG),
 ])
 def test_oracle_rationals_beyond_float_range(op):
     assert invoke("oracle", *op) == (
@@ -771,7 +792,7 @@ IDEALS = (("x^2, y^3", "x^3, x*y, y^2", "x^2, y^2, z^2, x*y*z", "y^4, x*y",
            "x*y", "1", "x^5, y^7, x^2*y^3", "x^3"),
           ("0", "x^^2", "x^-1, y", "", "q"))
 RATIONALS = (("1", "5/6", "3/2", "7/2", "1/3"),
-             ("0", "-1", "1/0", "abc", "1e400", "100000"))
+             ("0", "-1", "1/0", "abc", "1e400", "100000", LONG))
 TORIC = {1: ("min(4*x)", "min(2*x, x + 1)", "power(1; 1/2)"),
          2: ("min(2*x, 3*y)", "min(2*x + y, x + 3*y, 1/2)",
              "power(2; 1/2, 1/2)", "power(1; 1, 0)", "power(1; 1/3, 1/3)"),

@@ -241,7 +241,7 @@ def assert_kernels_agree(g, A, lows, prev, cur, m, weighted):
 def test_envelope_kernel_agrees_with_grid():
     rng = random.Random(404)
     for trial in range(600):
-        n = 1 + trial % 3
+        n = rng.choice((2, 3))  # one variable sums the grid itself
         weighted = trial % 4 == 3  # the 1/x_1^2 weight, x_1 >= 1
         clamped = trial % 5 == 0   # exponent above 700 at the low corner
         pieces = []
@@ -260,21 +260,21 @@ def test_envelope_kernel_agrees_with_grid():
         schedule = (10.0, 20.0) if clamped else (10.0, 20.0, 40.0, 80.0)
         step = rng.randrange(len(schedule))
         prev, cur = ((None,) + schedule)[step], schedule[step]
-        m = rng.choice({1: (2, 3, 64, 512), 2: (2, 17, 64),
-                        3: (2, 9, 16)}[n])
+        m = rng.choice({2: (2, 17, 64), 3: (2, 9, 16)}[n])
         assert_kernels_agree(pwl_min(pieces), A, lows, prev, cur, m,
                              weighted)
 
 
 def test_envelope_kernel_on_a_short_flat_run():
-    # on the graded axis the nearly flat piece is least on the first two
-    # nodes only; its sum over them is 1e-5 of its sum over the whole
-    # axis, so taking it as a difference of tail sums loses five digits
+    # on the graded last axis the nearly flat piece is least on the first
+    # two nodes only, on every row of the zero-slope lead axis; its sum
+    # over them is 1e-5 of its sum over the whole axis, so taking it as a
+    # difference of tail sums loses five digits
     m = 512
     x1 = F(40, (m - 1) ** 2)
     s0 = 1000 - F(1, 1000)
-    g = pwl_min([((s0,), 0), ((0,), s0 * 3 * x1 / 2)])
-    assert_kernels_agree(g, (1000.0,), [0.0], None, 40.0, m, False)
+    g = pwl_min([((0, s0), 0), ((0, 0), s0 * 3 * x1 / 2)])
+    assert_kernels_agree(g, (0.0, 1000.0), [0.0, 0.0], None, 40.0, m, False)
 
 
 @pytest.mark.parametrize("chunk", [1, 37, oracle._ENVELOPE_CHUNK])
@@ -373,7 +373,7 @@ def test_one_call_shares_grids():
     # axis grids, give each shell's own integral bit for bit
     rng = random.Random(606)
     for trial in range(60):
-        n = 1 + trial % 3
+        n = rng.choice((2, 3))
         weighted = trial % 4 == 3
         g = random_toric(rng, n, power=False)
         A = tuple(rng.randint(0, 24) / 4 for _ in range(n))

@@ -59,12 +59,17 @@ def test_format_rational():
     assert format_rational(F(5, 6)) == "5/6"
     assert format_rational(F(3)) == "3"
     assert format_rational(inf) == "inf"
+    # an answer longer than Python prints is refused, not rounded
+    with pytest.raises(InputError, match=r"about 10\^4299, longer than"):
+        format_rational(F(10 ** 4300, 7))
 
 
 def test_format_monomial():
     assert format_monomial((2, 0), ["x", "y"]) == "x^2"
     assert format_monomial((1, 1), ["x", "y"]) == "x*y"
     assert format_monomial((0, 0), ["x", "y"]) == "1"
+    with pytest.raises(InputError, match=r"about 10\^5000, longer than"):
+        format_monomial((10 ** 5000, 1), ["x", "y"])
     I = minimalize([(2, 0), (1, 1), (0, 3)])
     assert format_ideal(I, ["x", "y"]) == "x^2, x*y, y^3"
 
@@ -141,6 +146,10 @@ def test_round_trip_property():
     (parse_ideal, "x^\u00b2", "expected a natural exponent", 1, 3, "\u00b2"),
     (parse_rational, "1/\u00b2", "expected a positive denominator", 1, 3,
      "\u00b2"),
+    # nor is a numeral longer than Python reads (4,300 digits by default)
+    pytest.param(parse_rational, "1/" + "9" * 4301,
+                 "numeral longer than Python reads (4301 digits)", 1, 3,
+                 "9" * 4301, id="long-denominator"),
 ])
 def test_parse_error_sites(parse, text, message, line, column, token):
     with pytest.raises(ParseError) as err:
