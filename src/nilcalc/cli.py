@@ -153,20 +153,42 @@ def _oracle_config(args) -> dict:
     return kwargs
 
 
-def _ideal_arg(args):
-    """(ideal, names, inputs), inputs the JSON record of both."""
-    ideal, names = parsing.parse_ideal(_require(args, "ideal"),
-                                       _variables(args))
-    return ideal, names, {"ideal": parsing.format_ideal(ideal, names),
-                          "variables": names}
-
-
-def _scale_arg(args) -> Fraction:
-    return Fraction(1) if args.c is None else parsing.parse_rational(args.c)
+def _problem(args) -> tuple:
+    """(problem, names, inputs), then c (1 when left off) and the axis
+    index where the command takes --c and --axis.  The problem is the
+    ideal of --ideal, or the weight of --toric where the command takes
+    it; inputs is the JSON record of all that was read."""
+    if getattr(args, "toric", None) is None and hasattr(args, "ideal"):
+        problem, names = parsing.parse_ideal(_require(args, "ideal"),
+                                             _variables(args))
+        inputs = {"ideal": parsing.format_ideal(problem, names)}
+    elif getattr(args, "ideal", None) is not None:
+        raise InputError("--ideal and --toric exclude each other; give one")
+    else:
+        problem, names = parsing.parse_toric(_require(args, "toric"),
+                                             _variables(args))
+        inputs = {"toric": args.toric}
+    inputs["variables"] = names
+    read = [problem, names, inputs]
+    if hasattr(args, "c"):
+        c = Fraction(1) if args.c is None else parsing.parse_rational(args.c)
+        inputs["c"] = _rat(c)
+        read.append(c)
+    if hasattr(args, "axis"):
+        axis = _axis_index(names, _require(args, "axis"))
+        inputs["axis"] = names[axis]
+        read.append(axis)
+    return tuple(read)
 
 
 def _monomials(ideal, names) -> List[str]:
     return [parsing.format_monomial(g, names) for g in ideal.generators]
+
+
+def _generators(inputs: dict, ideal, names):
+    return ({"inputs": inputs,
+             "result": {"generators": _monomials(ideal, names)}},
+            [f"generators: {parsing.format_ideal(ideal, names)}"])
 
 
 def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
@@ -186,32 +208,17 @@ def _emit(args, stream, payload: dict, text_lines: List[str]) -> None:
 # each handler returns (payload, text_lines) for _emit
 
 def _cmd_mult(args):
-    if args.ideal is not None and args.toric is not None:
-        raise InputError("--ideal and --toric exclude each other; give one")
-    if args.toric is not None:
-        g, names = parsing.parse_toric(args.toric, _variables(args))
-        inputs = {"toric": args.toric, "variables": names}
-        c = _scale_arg(args)
-        result = ideals.multiplier_ideal_toric(toric.scaled(g, c))
+    problem, names, inputs, c = _problem(args)
+    if args.toric is None:
+        result = ideals.multiplier_ideal(problem, c)
     else:
-        ideal, names, inputs = _ideal_arg(args)
-        c = _scale_arg(args)
-        result = ideals.multiplier_ideal(ideal, c)
-    inputs["c"] = _rat(c)
-    return ({"inputs": inputs,
-             "result": {"generators": _monomials(result, names)}},
-            [f"generators: {parsing.format_ideal(result, names)}"])
+        result = ideals.multiplier_ideal_toric(toric.scaled(problem, c))
+    return _generators(inputs, result, names)
 
 
 def _cmd_adj(args):
-    ideal, names, inputs = _ideal_arg(args)
-    c = _scale_arg(args)
-    axis = _axis_index(names, _require(args, "axis"))
-    result = ideals.adjoint_ideal(ideal, c, axis)
-    inputs.update({"c": _rat(c), "axis": names[axis]})
-    return ({"inputs": inputs,
-             "result": {"generators": _monomials(result, names)}},
-            [f"generators: {parsing.format_ideal(result, names)}"])
+    ideal, names, inputs, c, axis = _problem(args)
+    return _generators(inputs, ideals.adjoint_ideal(ideal, c, axis), names)
 
 
 def _cmd_adj0(args):
@@ -226,13 +233,13 @@ def _cmd_adj0(args):
 
 
 def _cmd_lct(args):
-    ideal, _, inputs = _ideal_arg(args)
+    ideal, _, inputs = _problem(args)
     value = ideals.lct(ideal)
     return {"inputs": inputs, "result": {"lct": _rat(value)}}, [_rat(value)]
 
 
 def _cmd_jump(args):
-    ideal, _, inputs = _ideal_arg(args)
+    ideal, _, inputs = _problem(args)
     c_max = parsing.parse_rational(_require(args, "cmax"))
     jumps = ideals.jumping_numbers(ideal, c_max)
     inputs["c_max"] = _rat(c_max)
@@ -242,15 +249,13 @@ def _cmd_jump(args):
 
 
 def _cmd_openness(args):
-    ideal, _, inputs = _ideal_arg(args)
-    c = _scale_arg(args)
+    ideal, _, inputs, c = _problem(args)
     eps = ideals.openness_margin(ideal, c)
-    inputs["c"] = _rat(c)
     return {"inputs": inputs, "result": {"epsilon": _rat(eps)}}, [_rat(eps)]
 
 
 def _cmd_valuation(args):
-    g, names = parsing.parse_toric(_require(args, "toric"), _variables(args))
+    g, _, inputs = _problem(args)
     beta = _csv_rationals(_require(args, "beta"))
     report = toric.valuative_membership(g, beta)
     if report.member:
@@ -260,20 +265,17 @@ def _cmd_valuation(args):
         certificates = {"witness": [_rat(w) for w in report.certificate]}
         text = ["not a member (witness w = "
                 + ", ".join(_rat(w) for w in report.certificate) + ")"]
-    return ({"inputs": {"toric": args.toric,
-                        "beta": [_rat(b) for b in beta], "variables": names},
+    inputs["beta"] = [_rat(b) for b in beta]
+    return ({"inputs": inputs,
              "result": {"member": report.member},
              "certificates": certificates},
             text)
 
 
 def _cmd_check_adjunction(args):
-    ideal, names, inputs = _ideal_arg(args)
-    c = _scale_arg(args)
-    axis = _axis_index(names, _require(args, "axis"))
+    ideal, names, inputs, c, axis = _problem(args)
     report = ideals.adjunction_report(ideal, c, axis)
     rest_names = [v for i, v in enumerate(names) if i != axis]
-    inputs.update({"c": _rat(c), "axis": names[axis]})
     fmt = parsing.format_ideal
     return ({"inputs": inputs,
              "result": {
@@ -321,9 +323,8 @@ def _cmd_oracle(args):
         verdict = oracle.radial_power_integral(k, beta[0], cfg)
         inputs.update({"k": _rat(k), "beta": [_rat(beta[0])]})
     else:
-        g, names = parsing.parse_toric(_require(args, "toric"),
-                                       _variables(args))
-        inputs.update({"toric": args.toric, "variables": names})
+        g, _, problem_inputs = _problem(args)
+        inputs.update(problem_inputs)
         if op == "orthant":
             A = _csv_rationals(_require(args, "shift"))
             verdict = oracle.orthant_exp_integral(g, A, cfg)

@@ -59,12 +59,11 @@ from math import lcm, prod
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .lp import ZERO, HypothesisError, InputError, frac, numeral
+from .lp import ZERO, HypothesisError, InputError, numeral, positive
 from .newton import (Exponents, NewtonPolyhedron, _least_facet_ratio,
                      axis_complement_ones, critical_scale, dominates,
                      minimal_antichain, natural_vector, ones, vector)
-from .toric import (ConcaveToricFunction, PowerProduct, _floor_root,
-                    _power_criterion, body_polyhedron)
+from .toric import ConcaveToricFunction, PowerProduct, _floor_root
 # not called here; perfbench's tracer resolves these bindings in `ideals`
 from .newton import build  # noqa: F401
 from .toric import classify_in_body  # noqa: F401
@@ -242,12 +241,11 @@ def _facet_ideal(P: NewtonPolyhedron, c: Fraction, shift: Sequence[int],
     return MonomialIdeal(P.dimension, gens)
 
 
-def _scale(ideal: MonomialIdeal, c, what: str) -> Fraction:
-    """c as a Fraction, after checking that c > 0 and the ideal is not
-    zero (it has no `what`)."""
-    c = frac(c)
-    if c <= 0:
-        raise InputError("scale c must be positive")
+def _scale(ideal: MonomialIdeal, c, what: str,
+           name: str = "scale c") -> Fraction:
+    """c as a Fraction, after checking that c > 0 (naming it `name`) and
+    the ideal is not zero (it has no `what`)."""
+    c = positive(c, name)
     if ideal.is_zero:
         raise InputError(f"the zero ideal has no {what}")
     return c
@@ -283,9 +281,8 @@ def multiplier_ideal(ideal: MonomialIdeal, c) -> MonomialIdeal:
 def multiplier_ideal_toric(g: ConcaveToricFunction) -> MonomialIdeal:
     """Multiplier ideal of the toric weight attached to g."""
     n = g.dimension
-    P = body_polyhedron(g)
-    if P is not None:
-        return _facet_ideal(P, Fraction(1), (1,) * n)
+    if g.body is not None:
+        return _facet_ideal(g.body, Fraction(1), (1,) * n)
     # None only where p_i = 0, and minimal generators have beta_i = 0 there
     caps = [_power_least(g, i)((0,) * (n - 1)) or 0 for i in range(n)]
     return MonomialIdeal(n, _enumerate_minimal(n, caps,
@@ -296,12 +293,12 @@ def _power_least(g: PowerProduct, axis: int):
     """`least_last` along the axis for the multiplier ideal of g
     (exponent sum 1), as a function of the other coordinates of beta.
 
-    By `toric`'s power criterion (p, R), z^beta is a member iff prod
+    By g's power criterion (p, R), z^beta is a member iff prod
     (beta_j + 1)^p_j > R, iff (beta_axis + 1)^p_axis > m = floor(R / prod_{j
     != axis} (beta_j + 1)^p_j): the floor p_axis-th root of m, or where
     p_axis = 0, 0 if m = 0 and None otherwise.  At 0 it is the axis cap.
     """
-    ps, R = _power_criterion(g)
+    ps, R = g.criterion
     p = ps[axis]
     others = ps[:axis] + ps[axis + 1:]
 
@@ -323,11 +320,7 @@ def lct(ideal: MonomialIdeal):
 
 def jumping_numbers(ideal: MonomialIdeal, c_max) -> List[Fraction]:
     """All jumping numbers in (0, c_max], sorted increasingly."""
-    c_max = frac(c_max)
-    if c_max <= 0:
-        raise InputError("c_max must be positive")
-    if ideal.is_zero:
-        raise InputError("the zero ideal has no jumping numbers")
+    c_max = _scale(ideal, c_max, "jumping numbers", "c_max")
     if ideal.is_unit:
         raise InputError("the unit ideal has no jumping numbers")
     caps = _caps(ideal, c_max)
@@ -403,9 +396,7 @@ def adj0_power_membership(k, alpha: Sequence, beta: Sequence) -> bool:
     z^beta is a member iff N = sum (beta_i + 1)/alpha_i either exceeds
     k + 1/alpha_1 strictly, or meets it with beta_1 > 0.
     """
-    kf = frac(k)
-    if kf <= 0:
-        raise InputError("k must be positive")
+    kf = positive(k, "k")
     al = vector(alpha)
     if any(a <= 0 for a in al):
         raise InputError("all alpha_i must be positive")

@@ -55,6 +55,14 @@ def frac(x) -> Fraction:
     raise InputError(f"not an exact rational: {x!r}")
 
 
+def positive(x, name: str) -> Fraction:
+    """x as a Fraction, checked > 0; the error names it `name`."""
+    x = frac(x)
+    if x <= 0:
+        raise InputError(f"{name} must be positive")
+    return x
+
+
 def fvec(xs: Iterable) -> Tuple[Fraction, ...]:
     return tuple(frac(x) for x in xs)
 

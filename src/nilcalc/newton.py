@@ -25,7 +25,7 @@ from math import gcd, inf, lcm
 from operator import ge, mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .lp import ZERO, InputError, frac, fvec
+from .lp import ZERO, InputError, fvec, positive
 # not called here; perfbench's tracer resolves this binding in `newton`
 from .lp import maximize  # noqa: F401
 
@@ -164,9 +164,7 @@ def classify(P: NewtonPolyhedron, x: Sequence, c) -> PointClassification:
     that row's w, divided by c*b when b > 0, as a supporting or
     separating functional.
     """
-    c = frac(c)
-    if c <= 0:
-        raise InputError("scale c must be positive")
+    c = positive(c, "scale c")
     xv = vector(x, P.dimension)
     n = P.dimension
     # on integers: den*x and den*c for a common denominator den

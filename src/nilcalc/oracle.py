@@ -41,7 +41,7 @@ from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .lp import InputError, frac, fvec, numeral
+from .lp import InputError, frac, fvec, numeral, positive
 from .toric import (CONVERGES, DIVERGES, INCONCLUSIVE, PLAIN,
                     POINCARE_AXIS_1, ConcaveToricFunction,
                     PiecewiseLinearMin, PowerProduct, scaled)
@@ -564,8 +564,7 @@ def radial_power_integral(k, beta,
     [log 2, inf), so x^beta is a member exactly when beta + 1 > k.
     """
     kf, bf = frac(k), frac(beta)
-    if kf <= 0:
-        raise InputError("k must be positive")
+    positive(kf, "k")
     if bf < 0 or bf.denominator != 1:
         raise InputError("beta must be a natural number")
     g = PiecewiseLinearMin((((kf,), Fraction(0)),))

@@ -7,12 +7,13 @@ Two families are representable exactly:
 * `PowerProduct` -- g(x) = k * x_1^a_1 ... x_n^a_n with k > 0 and
   sum(a) <= 1 (the concavity threshold).
 
-Each has one exact body.  `body_polyhedron` gives its Newton polyhedron
-where it is polyhedral, read by `newton.classify`: the slopes' for a
-minimum, the orthant for sum(a) < 1 (the homogenization is 0).  For
-sum(a) = 1 and a = p/q, lam is interior iff lam > 0 and prod lam_i^p_i >
-R = k^q prod a_i^p_i: one integer sign test, shared by membership, the
-interior margin and `ideals`' least members; no float enters a verdict.
+Each has one exact body, which the weight computes once, on first use:
+`body` is its Newton polyhedron where it is polyhedral, read by
+`newton.classify`: the slopes' for a minimum, the orthant for sum(a) < 1
+(the homogenization is 0).  For sum(a) = 1 and a = p/q, lam is interior
+iff lam > 0 and prod lam_i^p_i > R = k^q prod a_i^p_i, and `criterion`
+is (p, R): one integer sign test, shared by membership, the interior
+margin and `ideals`' least members; no float enters a verdict.
 
 `homogenized_value` is the monomial-valuation weight of the attached
 torus-invariant psh function along w (the limit of g(tw)/t), and
@@ -25,10 +26,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import exp, log, prod
 from typing import Optional, Sequence, Tuple, Union
 
-from .lp import ZERO, InputError, frac, fvec
+from .lp import ZERO, InputError, frac, fvec, positive
 from .newton import (BOUNDARY, EXTERIOR, INTERIOR, NewtonPolyhedron,
                      PointClassification, Vector, build, classify, dot,
                      integers, natural_vector, vector)
@@ -45,6 +47,11 @@ class PiecewiseLinearMin:
     def dimension(self) -> int:
         return len(self.pieces[0][0])
 
+    @cached_property
+    def body(self) -> NewtonPolyhedron:
+        """The Newton polyhedron of the slopes."""
+        return build([s for s, _ in self.pieces])
+
 
 @dataclass(frozen=True)
 class PowerProduct:
@@ -54,6 +61,22 @@ class PowerProduct:
     @property
     def dimension(self) -> int:
         return len(self.exponents)
+
+    @cached_property
+    def body(self) -> Optional[NewtonPolyhedron]:
+        """The orthant for exponent sum below 1 (the homogenization is
+        0); None for sum 1, where the body is not polyhedral."""
+        if sum(self.exponents, ZERO) < 1:
+            return build([(ZERO,) * self.dimension])
+        return None
+
+    @cached_property
+    def criterion(self) -> Tuple[Tuple[int, ...], Fraction]:
+        """(p, R) for exponent sum 1: with a_i = p_i/q, lam >= 0 lies in
+        the closed body iff prod lam_i^p_i >= R = k^q prod a_i^p_i."""
+        ps, q = integers(self.exponents)
+        return ps, self.scale ** q * prod(
+            a ** p for a, p in zip(self.exponents, ps))
 
 
 ConcaveToricFunction = Union[PiecewiseLinearMin, PowerProduct]
@@ -93,9 +116,7 @@ def pwl_min(pieces: Sequence[Tuple[Sequence, object]]) -> PiecewiseLinearMin:
 
 
 def power_product(k, exponents: Sequence) -> PowerProduct:
-    kf = frac(k)
-    if kf <= 0:
-        raise InputError("the factor k must be positive")
+    kf = positive(k, "the factor k")
     al = fvec(exponents)
     if not al:
         raise InputError("need at least one exponent")
@@ -110,9 +131,7 @@ def power_product(k, exponents: Sequence) -> PowerProduct:
 def scaled(g: ConcaveToricFunction, c) -> ConcaveToricFunction:
     """c*g for c > 0, a function of the same family: the slopes and
     offsets of a minimum times c, or the factor k of a power product."""
-    c = frac(c)
-    if c <= 0:
-        raise InputError("scale c must be positive")
+    c = positive(c, "scale c")
     if isinstance(g, PiecewiseLinearMin):
         return PiecewiseLinearMin(tuple(
             (tuple(c * s for s in slope), c * off) for slope, off in g.pieces))
@@ -164,24 +183,6 @@ def evaluate(g: ConcaveToricFunction, x: Sequence):
     return exp(log_value)
 
 
-def body_polyhedron(g: ConcaveToricFunction) -> Optional[NewtonPolyhedron]:
-    """The Newton polyhedron of g's body when it is polyhedral: the slopes'
-    for a minimum of linear forms, the orthant's for a power product of
-    exponent sum below 1 (its homogenization is 0); else None."""
-    if isinstance(g, PiecewiseLinearMin):
-        return build([s for s, _ in g.pieces])
-    if sum(g.exponents, ZERO) < 1:
-        return build([(ZERO,) * g.dimension])
-    return None
-
-
-def _power_criterion(g: PowerProduct) -> Tuple[Tuple[int, ...], Fraction]:
-    """(p, R) for exponent sum 1: with a_i = p_i/q, lam >= 0 lies in the
-    closed body iff prod lam_i^p_i >= R = k^q prod a_i^p_i."""
-    ps, q = integers(g.exponents)
-    return ps, g.scale ** q * prod(a ** p for a, p in zip(g.exponents, ps))
-
-
 def _power_sign(ps: Sequence[int], R: Fraction, xs: Sequence[int],
                 den: int) -> int:
     """Sign of prod (xs_i/den)^p_i - R for sum p_i = q, on integers."""
@@ -199,10 +200,9 @@ def homogenized_value(g: ConcaveToricFunction, w: Sequence):
         raise InputError("the direction w must be non-zero")
     if any(v < 0 for v in wv):
         raise InputError("the direction w must be componentwise >= 0")
-    P = body_polyhedron(g)
-    if P is None:
+    if g.body is None:
         return evaluate(g, wv)
-    return min(dot(s, wv) for s in P.generators)
+    return min(dot(s, wv) for s in g.body.generators)
 
 
 def _body_margin_power(ps: Sequence[int], R: Fraction, xs: Sequence[int],
@@ -255,10 +255,9 @@ def classify_in_body(g: ConcaveToricFunction,
         raise InputError("dimension mismatch")
     if any(v < 0 for v in lv):
         raise InputError("the point must be componentwise >= 0")
-    P = body_polyhedron(g)
-    if P is not None:
-        return classify(P, lv, Fraction(1))
-    ps, R = _power_criterion(g)
+    if g.body is not None:
+        return classify(g.body, lv, Fraction(1))
+    ps, R = g.criterion
     xs, den = integers(lv)
     sign = _power_sign(ps, R, xs, den)
     if sign <= 0:
@@ -296,9 +295,8 @@ def certificate_slack(g: ConcaveToricFunction, beta: Sequence,
     """
     bv = vector(beta, g.dimension)
     bound = dot(w, bv) + sum(w, ZERO)
-    P = body_polyhedron(g)
-    if P is not None:
-        ghat = min(dot(s, w) for s in P.generators)
+    if g.body is not None:
+        ghat = min(dot(s, w) for s in g.body.generators)
     else:  # compared as q-th powers
         ghat, q = _power_value_pow_q(g, w)
         bound **= q

@@ -199,6 +199,13 @@ LONG = "1" + "0" * 4400
     (("mult", "--ideal", "x^1" + "0" * 3000, "--c", "1" + "0" * 3000),
      "the answer holds a number of about 10^6000, longer than Python "
      "prints\n"),
+    # a problem is read in order: the --ideal/--toric exclusion before
+    # either value, the weight before --beta, c before the axis
+    (("mult", "--ideal", "x^", "--toric", "min(x)"),
+     "--ideal and --toric exclude each other"),
+    (("valuation", "--beta", "0"), "missing required option --toric"),
+    (("adj", "--ideal", "x^2, y^3", "--c", "abc", "--axis", "q"),
+     "expected a number at line 1, column 1 (near 'abc')"),
 ])
 def test_input_errors(argv, message):
     code, out, err = invoke(*argv)

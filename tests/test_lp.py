@@ -2,10 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from nilcalc.ideals import (adj0_power_membership, jumping_numbers,
+                            minimalize, multiplier_ideal)
 from nilcalc.lp import (EQ, GEQ, INFEASIBLE, LEQ, OPTIMAL, UNBOUNDED,
                         InputError, LinearConstraintSystem, feasible,
                         maximize, satisfies_point, verify_farkas,
                         verify_optimal_dual)
+from nilcalc.newton import build, classify
+from nilcalc.oracle import radial_power_integral
+from nilcalc.toric import power_product, pwl_min, scaled
 
 
 def system(nvars, cons, nonneg=None):
@@ -130,3 +135,27 @@ def test_random_certificates_verify():
         else:
             assert out.status == UNBOUNDED
             assert satisfies_point(sysm, out.primal_point)
+
+
+# every check that a number is positive, through its public entry point,
+# with the message it gives
+IDEAL = minimalize([(2, 0), (0, 3)])
+POSITIVITY = [
+    (lambda v: multiplier_ideal(IDEAL, v), "scale c must be positive"),
+    (lambda v: jumping_numbers(IDEAL, v), "c_max must be positive"),
+    (lambda v: adj0_power_membership(v, (1, 1), (0, 0)),
+     "k must be positive"),
+    (lambda v: classify(build([(1, 1)]), (1, 1), v),
+     "scale c must be positive"),
+    (lambda v: scaled(pwl_min([((2, 3), 0)]), v), "scale c must be positive"),
+    (lambda v: power_product(v, (F(1, 2),)), "the factor k must be positive"),
+    (lambda v: radial_power_integral(v, 0), "k must be positive"),
+]
+
+
+@pytest.mark.parametrize("value", [0, F(-1, 2)])
+@pytest.mark.parametrize("call, message", POSITIVITY)
+def test_positivity_checks(call, message, value):
+    with pytest.raises(InputError) as exc:
+        call(value)
+    assert str(exc.value) == message

@@ -4,6 +4,8 @@ from math import prod
 
 import pytest
 
+from nilcalc import newton, toric
+from nilcalc.ideals import multiplier_ideal_toric
 from nilcalc.lp import InputError
 from nilcalc.newton import BOUNDARY, EXTERIOR, INTERIOR
 from nilcalc.toric import (certificate_slack, classify_in_body, evaluate,
@@ -304,3 +306,38 @@ def test_body_scaling():
         clam = tuple(c * v for v in lam)
         assert classify_in_body(cg, clam).verdict == \
             classify_in_body(g, lam).verdict
+
+
+def counted(monkeypatch, module, name):
+    """The list of the calls to module.name from here on."""
+    calls, real = [], getattr(module, name)
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+def test_a_weight_runs_its_double_description_once(monkeypatch):
+    runs = counted(monkeypatch, newton, "_facets")
+    g = pwl_min([((6, 0, 0), 0), ((0, 4, 0), 0), ((0, 0, 8), 0),
+                 ((2, 4, 6), 0)])
+    assert classify_in_body(g, (1, 1, 1)).verdict == EXTERIOR
+    assert valuative_membership(g, (4, 2, 1)).member
+    report = valuative_membership(g, (0, 0, 0))
+    assert not report.member
+    assert certificate_slack(g, (0, 0, 0), report.certificate) >= 0
+    assert homogenized_value(g, (1, 2, 3)) == 6
+    assert exp_integrable_shifted(g, (5, 3, 2))
+    multiplier_ideal_toric(g)
+    assert len(runs) == 1
+
+
+def test_a_power_product_computes_its_criterion_once(monkeypatch):
+    g = power_product(2, (F(1, 2), F(1, 3), F(1, 6)))
+    calls = counted(monkeypatch, toric, "integers")
+    J = multiplier_ideal_toric(g)
+    assert len(calls) == 1
+    # J(g) holds z^beta iff prod (beta + 1)^p > R, by the member test
+    assert all(valuative_membership(g, beta).member for beta in J.generators)
