@@ -25,14 +25,16 @@ the region's low end (0, 1 or log 2) on every box side starting there.  The
 dimension decides how the grid is summed: in one variable, and for power
 products, over the grid itself (`_grid_box`, also the tests' reference);
 in more, a minimum of linear forms in closed form along the last axis
-from per-piece partial sums (`_Envelope`), built once per shell as
-cumulative sums scaled block by block.
+(`_Envelope`), from partial sums per distinct last slope of the pieces,
+built once per shell as cumulative sums scaled block by block.  Both
+read the axis grids from `_grid`, which builds each once per process.
 
 Estimates are deterministic functions of the integrand and the config.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -58,8 +60,9 @@ ALGEBRAIC_DECAY_THRESHOLD = 0.7
 _GRID_CHUNK = 1 << 16
 # (piece, grid row) pairs of a shell evaluated at once: few enough that
 # the temporaries of a chunk stay in cache.  The lead-axis terms are
-# built once per shell; a chunk builds its rows' exponents, crossing
-# points and runs (see `_Envelope`)
+# built once per shell; a chunk builds its rows' exponents, takes their
+# least per last slope, and finds the crossing points and runs of these
+# lines (see `_Envelope`)
 _ENVELOPE_CHUNK = 1 << 13
 # the terms summed in one block of `_log_cumsum` span less than this, so
 # that their exponentials relative to the block's largest stay above e^-600
@@ -160,6 +163,36 @@ def _axis_grid(a: float, b: float, m: int,
     return x, w
 
 
+# one call on a schedule of S truncations reads, per axis, the grids of
+# [low, T_i] (i < S) and [T_i, T_i+1]: 6 intervals on the default
+# schedule.  Over the 3 lows (0, 1, log 2) and 2 weightings that is at
+# most (3 * 3 + 3) * 2 = 24 keys per m, and the bound holds five m.
+_GRID_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid(a: float, b: float, m: int, graded: bool,
+          over_square: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_axis_grid`'s nodes and weights, over x^2 if over_square, and the
+    log weights, as read-only arrays."""
+    x, w = _axis_grid(a, b, m, graded)
+    if over_square:
+        w = w / np.square(x)
+    grid = x, w, np.log(w)
+    for v in grid:
+        v.flags.writeable = False
+    return grid
+
+
+def _slope_groups(last: np.ndarray
+                  ) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """For last slopes in decreasing order: the index of the first piece
+    of each distinct slope, and (piece, group) for every other piece."""
+    new = np.concatenate(([True], last[1:] != last[:-1]))
+    group = np.cumsum(new) - 1
+    return np.flatnonzero(new), [(k, group[k]) for k in np.flatnonzero(~new)]
+
+
 def _g_values(g: ConcaveToricFunction, coords: Sequence[np.ndarray]):
     """g evaluated on broadcast coordinate arrays."""
     if isinstance(g, PiecewiseLinearMin):
@@ -192,7 +225,8 @@ def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
     for i, ((a, b), low) in enumerate(zip(box, lows)):
         shape = [1] * n
         shape[i] = m
-        axes.append([v.reshape(shape) for v in _axis_grid(a, b, m, a == low)])
+        grid = _grid(a, b, m, a == low, i == 0 and weight_axis0)
+        axes.append([v.reshape(shape) for v in grid[:2]])
     # chunk along axis 0
     rows = max(1, _GRID_CHUNK // m ** (n - 1))
     total = 0.0
@@ -202,8 +236,6 @@ def _grid_box(g: ConcaveToricFunction, A: Tuple[float, ...],
         for Ai, x in zip(A, xs):
             expo = expo - 2.0 * Ai * x
         vals = np.exp(np.minimum(expo, 700.0, out=expo), out=expo)
-        if weight_axis0:
-            vals = vals / np.square(xs[0])
         wprod = axes[0][1][start:start + rows]
         for _, w in axes[1:]:
             wprod = wprod * w
@@ -284,22 +316,24 @@ class _Envelope:
     the last coordinate with the same slopes a_k, so every piece is
     active on one run of consecutive nodes, and its share of the row is
     e^{c_row,k} times a difference of partial sums of w_j e^{a_k x_j},
-    which do not depend on the row.  The partial sums are scaled
-    cumulative sums (`_log_cumsum`), and only the (piece, row) pairs
+    which do not depend on the row.  Pieces with the same last slope are
+    one line on every row, of constant min_k c_row,k, so a shell sums one
+    line per distinct last slope.  The partial sums are scaled
+    cumulative sums (`_log_cumsum`), and only the (line, row) pairs
     whose run is not empty reach log, expm1 and exp.  A shell is summed
     in one pass: every axis runs over the nodes of [low_i, prev] and then
     of [prev, cur], each with its own weights, and a row inside the inner
-    box starts its last-axis run at the first node beyond prev.  One
-    instance builds the axis grids once per interval for all the shells
-    of a call, graded on the axes starting at lows.
+    box starts its last-axis run at the first node beyond prev.  The axis
+    grids come from `_grid`, built once per process.
 
-    Once per shell: the pruned pieces, the partial sums, the pieces tied
-    on the last slope, and on the lead axes c_k + a_k0 x_0 and each
-    a_ki x_i (i >= 1) as (piece, node) arrays.  Once per chunk of rows
-    (`_ENVELOPE_CHUNK`): each row's c_row,k (a slice of the first plus
-    one broadcast add per further lead axis), weight and first node, the
-    crossing points, searched in K - 1 rows (piece 0 starts at the row's
-    first node), and the flat gathers of the non-empty runs.
+    Once per shell: the pruned pieces, grouped by last slope, the partial
+    sums of the distinct last slopes, and on the lead axes c_k + a_k0 x_0
+    and each a_ki x_i (i >= 1) as (piece, node) arrays.  Once per chunk
+    of rows (`_ENVELOPE_CHUNK`): each row's c_row,k (a slice of the first
+    plus one broadcast add per further lead axis) and their least per
+    last slope, its weight and first node, the crossing points, searched
+    in K - 1 rows (line 0 starts at the row's first node), and the flat
+    gathers of the non-empty runs.
     """
 
     def __init__(self, g: PiecewiseLinearMin, A: Tuple[float, ...], m: int,
@@ -313,26 +347,16 @@ class _Envelope:
               2.0 * float(off)) for slope, off in g.pieces]
             + [([0.0] * n, 700.0)], key=lambda row: -row[0][-1])
         self.n, self.m, self.weight_axis0, self.lows = n, m, weight_axis0, lows
-        self.grids: Dict[tuple, tuple] = {}
-
-    def _grid(self, i: int, a: float, b: float) -> tuple:
-        """Nodes, weights (over x^2 on a weighted axis 0) and log weights."""
-        key = (i == 0 and self.weight_axis0, a == self.lows[i], a, b)
-        grid = self.grids.get(key)
-        if grid is None:
-            x, w = _axis_grid(a, b, self.m, key[1])
-            if key[0]:
-                w = w / np.square(x)
-            grid = self.grids[key] = x, w, np.log(w)
-        return grid
 
     def _axis(self, i: int, prev, cur: float) -> tuple:
         """Axis i's grid on [low_i, cur], or on [low_i, prev] then
         [prev, cur] (node prev twice, with each interval's weight)."""
+        low, weighted = self.lows[i], i == 0 and self.weight_axis0
         if prev is None:
-            return self._grid(i, self.lows[i], cur)
-        return tuple(map(np.concatenate, zip(self._grid(i, self.lows[i], prev),
-                                             self._grid(i, prev, cur))))
+            return _grid(low, cur, self.m, True, weighted)
+        return tuple(map(np.concatenate, zip(
+            _grid(low, prev, self.m, True, weighted),
+            _grid(prev, cur, self.m, False, weighted))))
 
     def shell(self, prev, cur: float) -> float:
         """The integral over prod[low_i, cur] \\ prod[low_i, prev]
@@ -349,12 +373,11 @@ class _Envelope:
         keep = [row for row, v in zip(self.rows, least) if v <= top]
         slopes = np.array([slope for slope, _ in keep])
         consts = np.array([c for _, c in keep])
-        K = len(keep)
-        a = slopes[:, -1]
+        firsts, tied = _slope_groups(slopes[:, -1])
+        a = slopes[firsts, -1]
+        K = len(a)
         da = a[:, None] - a[None, :]
         inv = np.divide(1.0, da, out=np.zeros_like(da), where=da > 0)
-        # the pieces i < j with the same last slope as piece j
-        ties = [np.flatnonzero(da[:j, j] == 0) for j in range(K)]
         axes = [self._axis(i, prev, cur) for i in range(n)]
         x, _, lw = axes[-1]
         L = len(x)
@@ -367,28 +390,31 @@ class _Envelope:
         C0 = consts[:, None] + np.multiply.outer(slopes[:, 0], axes[0][0])
         further = [(np.multiply.outer(slopes[:, i], axes[i][0]), axes[i][1])
                    for i in range(1, n - 1)]
-        rows = max(1, _ENVELOPE_CHUNK // (K * L ** (n - 2)))
+        rows = max(1, _ENVELOPE_CHUNK // (len(keep) * L ** (n - 2)))
         total = 0.0
         for start in range(0, C0.shape[1], rows):
-            # C[k, r]: c_k plus the lead axes' terms at row r; W[r] its
-            # weight and begin[r] its first last-axis node
+            # C[k, r]: c_k plus the lead axes' terms at row r, then the
+            # least of them per last slope; W[r] its weight and begin[r]
+            # its first last-axis node
             part = slice(start, start + rows)
             C, W, begin = C0[:, part], axes[0][1][part], begin_at[part]
             for S, wi in further:
-                C = (C[:, :, None] + S[:, None]).reshape(K, -1)
+                C = (C[:, :, None] + S[:, None]).reshape(len(keep), -1)
                 W = np.multiply.outer(W, wi).ravel()
                 begin = np.minimum.outer(begin, begin_at).ravel()
+            if tied:
+                lines = C[firsts]
+                for k, line in tied:
+                    np.minimum(lines[line], C[k], out=lines[line])
+                C = lines
             R = C.shape[1]
-            # node x goes to a piece >= k iff x > tau_{k-1} = max_{i<k}
+            # node x goes to a line >= k iff x > tau_{k-1} = max_{i<k}
             # min_{j>=k} of the point from which line j stays at or below
-            # line i (piece 0 starts at begin)
+            # line i (line 0 starts at begin)
             tau = np.empty((K - 1, R))
             reach = np.full((K - 1, R), np.inf)
             for j in range(K - 1, 0, -1):
                 cross = (C[j] - C[:j]) * inv[:j, j, None]
-                if len(ties[j]):
-                    cross[ties[j]] = np.where(C[j] <= C[ties[j]], -np.inf,
-                                              np.inf)
                 np.minimum(reach[:j], cross, out=reach[:j])
                 reach[:j].max(axis=0, out=tau[j - 1])
             lo = np.empty((K, R), dtype=np.intp)

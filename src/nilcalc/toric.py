@@ -243,6 +243,19 @@ def _power_separating_direction(g: PowerProduct, lam: Vector) -> Vector:
         m *= 2
 
 
+def _in_orthant(lam: Vector) -> PointClassification:
+    """`classify(build([(ZERO,) * n]), lam, 1)` for lam >= 0, read off
+    the orthant's only rows y_i >= 0: the margin min lam, or the row e_i
+    of a zero coordinate, the last one as `classify` breaks ties (e_i
+    compare as tuples)."""
+    low = min(lam)
+    if low > 0:
+        return PointClassification(INTERIOR, margin=low)
+    i = max(j for j, v in enumerate(lam) if v == 0)
+    return PointClassification(BOUNDARY, witness=tuple(
+        Fraction(int(j == i)) for j in range(len(lam))))
+
+
 def classify_in_body(g: ConcaveToricFunction,
                      lam: Sequence) -> PointClassification:
     """Locate lam relative to the Newton convex body of g, exactly.
@@ -265,7 +278,7 @@ def classify_in_body(g: ConcaveToricFunction,
                                    witness=_power_separating_direction(g, lv))
     # lam is interior in the coordinates g depends on; the orthant bounds
     # the rest, and caps the margin at min lam
-    orthant = classify(build([(ZERO,) * g.dimension]), lv, Fraction(1))
+    orthant = _in_orthant(lv)
     if orthant.verdict != INTERIOR:
         return orthant
     return PointClassification(INTERIOR, margin=min(

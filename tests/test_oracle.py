@@ -12,8 +12,9 @@ from nilcalc.lp import InputError
 from nilcalc.oracle import (_BLOCK_SPAN, CONVERGES, DIVERGES, PLAIN,
                             POINCARE_AXIS_1, QUADRATURE_POINTS_LIMIT,
                             OracleConfig, _axis_grid, _blocks, _Envelope,
-                            _grid_box, _log_partial_sums, _shell_boxes,
-                            _shells, _widest_step, adjoint_weighted_integral,
+                            _grid, _grid_box, _log_partial_sums,
+                            _shell_boxes, _shells, _slope_groups,
+                            _widest_step, adjoint_weighted_integral,
                             orthant_exp_integral, polydisk_mc,
                             radial_power_integral)
 from nilcalc.toric import (exp_integrable_shifted, power_product, pwl_min,
@@ -281,32 +282,46 @@ def test_envelope_kernel_on_a_short_flat_run():
 def test_envelope_agrees_with_grid_at_every_chunk_size(monkeypatch, chunk):
     # shells split into chunks of rows of (piece, row) pairs, from one row
     # per chunk to the default, which splits a 3-variable shell at m = 48
-    tables = []
+    kept, tables = [], []
+
+    def grouped(last):
+        kept.append(last)
+        return _slope_groups(last)
 
     def recorded(x, lw, a):
         tables.append(a)
         return _log_partial_sums(x, lw, a)
     monkeypatch.setattr(oracle, "_ENVELOPE_CHUNK", chunk)
+    monkeypatch.setattr(oracle, "_slope_groups", grouped)
     monkeypatch.setattr(oracle, "_log_partial_sums", recorded)
     rng = random.Random(1515)
     schedule = (10.0, 20.0, 40.0, 80.0)
     for n in (2, 3):
         # tied last slopes: two pieces, and (the last slope of A being
-        # one piece's) a piece and the clamp; and a single piece below
-        # the clamp on every shell
+        # one piece's) a piece and the clamp; a single piece below the
+        # clamp on every shell; and two tied pieces of which the least
+        # changes where x_0 + ... + x_n-2 crosses 5, inside one chunk
+        # (of a whole 2-variable shell at the default size, of rows that
+        # run over all of axis 1 in 3 variables)
         tied = [(tuple(F(rng.randint(0, 12), 2) for _ in range(n - 1))
                  + (F(3),), F(rng.randint(-40, 40), 4)) for _ in range(3)]
+        crossing = [((1,) * (n - 1) + (3,), 0), ((3,) * (n - 1) + (3,), -10),
+                    ((2,) * (n - 1) + (1,), 4)]
         cases = [(tied, (1.5,) * (n - 1) + (0.5,)),
                  (tied, (0.5,) * (n - 1) + (3.0,)),
-                 ([((1,) * n, 0), ((0,) * n, 10000)], (0.5,) * n)]
+                 ([((1,) * n, 0), ((0,) * n, 10000)], (0.5,) * n),
+                 (crossing, (0.5,) * (n - 1) + (1.0,))]
         for m in (9, 17, 48):
             for pieces, A in cases:
                 for prev, cur in zip((None,) + schedule, schedule):
                     assert_kernels_agree(pwl_min(pieces), A, [0.0] * n,
                                          prev, cur, m, False)
     assert min(map(len, tables)) == 1
-    assert any(len(set(a)) < len(a) for a in tables)
-    assert any(0.0 in a[:-1] and a[-1] == 0.0 for a in tables)
+    # one partial-sum row per distinct last slope, though shells kept
+    # tied pieces, among them a piece tied with the clamp's slope 0
+    assert all(len(set(a)) == len(a) for a in tables)
+    assert any(len(set(last)) < len(last) for last in kept)
+    assert any((last == 0.0).sum() > 1 for last in kept)
 
 
 AXES = [(0.0, 10.0), (0.0, 80.0), (10.0, 20.0), (40.0, 80.0), (1.0, 80.0)]
@@ -369,8 +384,8 @@ def test_blocks_bound_every_rows_span():
 
 
 def test_one_call_shares_grids():
-    # the shells of a call, integrated by one _Envelope that reuses its
-    # axis grids, give each shell's own integral bit for bit
+    # the shells of a call, integrated by one _Envelope, give each shell's
+    # own integral bit for bit
     rng = random.Random(606)
     for trial in range(60):
         n = rng.choice((2, 3))
@@ -385,6 +400,55 @@ def test_one_call_shares_grids():
             with np.errstate(over="ignore"):  # a shell beyond float range
                 assert env.shell(prev, cur) == _Envelope(
                     g, A, m, weighted, lows).shell(prev, cur)
+
+
+def test_axis_grids_are_cached_read_only():
+    x, w, lw = _grid(0.0, 10.0, 33, True, False)
+    assert _grid(0.0, 10.0, 33, True, False)[0] is x
+    for v in (x, w, lw):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
+    # the weights over x^2 of a weighted axis 0 are an entry of their own
+    plain = _grid(1.0, 10.0, 33, True, False)
+    weighted = _grid(1.0, 10.0, 33, True, True)
+    assert weighted[1] is not plain[1]
+    assert np.array_equal(weighted[0], plain[0])
+    assert np.array_equal(weighted[1], plain[1] / np.square(plain[0]))
+    assert np.array_equal(weighted[2], np.log(weighted[1]))
+
+
+def test_grid_cache_stays_bounded():
+    # a sweep of schedules, m, lows and weightings reads more grids than
+    # the cache holds
+    _grid.cache_clear()
+    g = pwl_min([((2,), 0)])
+    for schedule in ((10, 20, 40), (10, 20, 40, 80), (3, 5, 8, 13, 21)):
+        for m in range(2, 14):
+            cfg = OracleConfig(schedule, m)
+            orthant_exp_integral(g, (3,), cfg)
+            adjoint_weighted_integral(g, (3,), 0, cfg)
+            polydisk_mc(g, (2,), PLAIN, cfg)
+            polydisk_mc(g, (2,), POINCARE_AXIS_1, cfg)
+    info = _grid.cache_info()
+    assert info.misses > info.maxsize == oracle._GRID_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+
+
+def test_calls_on_cached_grids_are_bit_identical():
+    # the first call of each builds its grids, the second reads them
+    calls = [(orthant_exp_integral, (G_23, (2, 1))),
+             (adjoint_weighted_integral, (G_M6, (2, 4), F(1, 10))),
+             (polydisk_mc, (G_23, (1, 0), POINCARE_AXIS_1)),
+             (radial_power_integral, (F(5, 2), 2)),
+             (orthant_exp_integral, (pwl_min([((3, 0, 0), 0), ((0, 2, 0), 0),
+                                              ((0, 0, 4), 0)]), (2, 3, 2)))]
+    _grid.cache_clear()
+    first = [f(*args, FAST).partial_values for f, args in calls]
+    built = _grid.cache_info().misses
+    second = [f(*args, FAST).partial_values for f, args in calls]
+    assert _grid.cache_info().misses == built
+    assert [[v.hex() for _, v in p] for p in first] == \
+        [[v.hex() for _, v in p] for p in second]
 
 
 def grid_partials(g, A, lows, cfg, weighted):

@@ -341,3 +341,25 @@ def test_a_power_product_computes_its_criterion_once(monkeypatch):
     assert len(calls) == 1
     # J(g) holds z^beta iff prod (beta + 1)^p > R, by the member test
     assert all(valuative_membership(g, beta).member for beta in J.generators)
+
+
+def test_orthant_step_is_the_orthants_classification(monkeypatch):
+    # the orthant rows that bound a power product's interior points, read
+    # off lam directly: verdict, margin and witness as the double
+    # description's classify gives them, zero coordinates included
+    rng = random.Random(27)
+    orthant = {n: newton.build([(F(0),) * n]) for n in range(1, 5)}
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        lam = tuple(F(rng.randint(0, 6) * rng.randint(0, 1), rng.randint(1, 3))
+                    for _ in range(n))
+        assert toric._in_orthant(lam) == newton.classify(orthant[n], lam, 1), \
+            lam
+    # a power product of exponent sum 1 runs no double description
+    runs = counted(monkeypatch, newton, "_facets")
+    g = power_product(1, (F(1, 2), F(1, 2), 0))
+    assert classify_in_body(g, (2, 3, 1)) == newton.PointClassification(
+        INTERIOR, margin=1)
+    assert classify_in_body(g, (2, 3, 0)) == newton.PointClassification(
+        BOUNDARY, witness=(0, 0, 1))
+    assert runs == []
